@@ -15,9 +15,8 @@ end:
 * **service fleet xK (e2e)** — the same batch dispatched to a real
   worker-process fleet (spawn cost and unit granularity included).
 
-A second table isolates the store-layer write-amplification fix: full
-manifest rewrites during one campaign, journaled (current) vs legacy
-snapshot-per-put mode — O(runs) → O(1).
+A second table counts the store layer's write amplification: full
+manifest rewrites during one campaign stay O(1) on the journaled path.
 
 Run modes:
 
@@ -120,25 +119,19 @@ def service_speedup(workers: int, reps: int = 1, runs=None,
 
 
 def manifest_write_counts(runs: int):
-    """Full manifest rewrites during one campaign, journaled vs legacy."""
+    """Full manifest rewrites and journal appends during one campaign."""
     program, fixed_inputs, random_input = resolve("dummy")
-    rows = []
-    counts = {}
-    for mode, journal in (("journaled (current)", True),
-                          ("legacy snapshot-per-put", False)):
-        root = Path(tempfile.mkdtemp(prefix="owl-bench-manifest-"))
-        try:
-            store = TraceStore(root / "store", journal=journal)
-            owl = Owl(program, name="dummy",
-                      config=OwlConfig(**_config_dict(runs)))
-            owl.detect(fixed_inputs(), random_input=random_input,
-                       store=store)
-            counts[mode] = store.manifest_saves
-            rows.append([mode, runs, store.manifest_saves,
-                         store.journal_appends, len(store)])
-        finally:
-            shutil.rmtree(root, ignore_errors=True)
-    return rows, counts
+    root = Path(tempfile.mkdtemp(prefix="owl-bench-manifest-"))
+    try:
+        store = TraceStore(root / "store")
+        owl = Owl(program, name="dummy",
+                  config=OwlConfig(**_config_dict(runs)))
+        owl.detect(fixed_inputs(), random_input=random_input, store=store)
+        rows = [["journaled (current)", runs, store.manifest_saves,
+                 store.journal_appends, len(store)]]
+        return rows, {"journaled (current)": store.manifest_saves}
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
 
 
 def measure(smoke: bool = False):
@@ -191,11 +184,8 @@ def test_service_throughput(benchmark=None):
     for scenario, speedup in speedups.items():
         assert speedup > 1.0, f"{scenario} slower than serial"
     journaled = manifest_counts["journaled (current)"]
-    legacy = manifest_counts["legacy snapshot-per-put"]
     assert journaled <= 1, \
         f"journaled store rewrote the manifest {journaled} times"
-    assert legacy >= 5 * max(journaled, 1), \
-        "legacy mode no longer shows the amplification being fixed"
 
 
 if __name__ == "__main__":

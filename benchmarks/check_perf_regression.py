@@ -3,14 +3,21 @@
 Re-measures the end-to-end ``Owl.detect`` rows of
 ``bench_trace_hotpath.py`` and the multi-tenant amortisation row of
 ``bench_service_throughput.py`` at their full-mode parameters and
-compares each speedup against the committed artefacts
+compares them against the committed artefacts
 (``benchmarks/results/trace_hotpath.txt`` and
-``benchmarks/results/service_throughput.txt``).  A row that loses more
-than ``TOLERANCE`` of its committed speedup fails the check — catching
-changes that quietly re-serialise the replica path, fatten the per-run
-cost, or bloat the service scheduler's per-unit overhead — while staying
-robust to the noise of shared CI runners (record-row timings in the
-microsecond range are *not* gated; only the e2e ratios are).
+``benchmarks/results/service_throughput.txt``).  Two kinds of gated row:
+
+* **ratio rows** (a surviving baseline vs the fast path) fail when they
+  lose more than ``TOLERANCE`` of their committed speedup;
+* **absolute rows** (fast-path seconds ÷ a calibration loop timed in the
+  same process, see ``bench_trace_hotpath.calibration_seconds``) fail
+  above ``committed / (1 - TOLERANCE)`` — the same slack a ratio row
+  allows its fast path.
+
+Together they catch changes that quietly re-serialise the replica path,
+fatten the per-run cost, or bloat the service scheduler's per-unit
+overhead, while staying robust to the noise of shared CI runners
+(record-row timings in the microsecond range are *not* gated).
 
 Usage::
 
@@ -31,7 +38,8 @@ from typing import Dict
 
 from bench_service_throughput import service_speedup
 from bench_trace_hotpath import (
-    ADAPTIVE_DETECT_RUNS, REPLICA_DETECT_RUNS, detect_seconds)
+    ABSOLUTE_ROWS, ADAPTIVE_DETECT_RUNS, DETECT_RUNS, absolute_row,
+    detect_seconds)
 
 RESULTS = Path(__file__).parent / "results"
 HOTPATH_ARTIFACT = RESULTS / "trace_hotpath.txt"
@@ -40,37 +48,28 @@ SERVICE_ARTIFACT = RESULTS / "service_throughput.txt"
 #: fraction of the committed speedup a row may lose before the gate fails
 TOLERANCE = 0.25
 
-#: gated row → (committed artefact, re-measurement at full-mode params)
+#: gated ratio row → (committed artefact, re-measurement at full-mode
+#: params returning (baseline seconds, fast seconds))
 GATED_ROWS = {
-    "AES detect (e2e)": (HOTPATH_ARTIFACT, lambda reps: (
-        detect_seconds(False, False, 8, reps=reps),
-        detect_seconds(True, False, 8, reps=reps))),
-    "AES detect (cohort e2e)": (HOTPATH_ARTIFACT, lambda reps: (
-        detect_seconds(True, False, 8, reps=reps),
-        detect_seconds(True, True, 8, reps=reps))),
-    "AES detect (replica e2e)": (HOTPATH_ARTIFACT, lambda reps: (
-        detect_seconds(True, False, REPLICA_DETECT_RUNS, reps=reps),
-        detect_seconds(True, True, REPLICA_DETECT_RUNS,
-                       replica_batch=True, replica_dedup=True, reps=reps))),
     # catches the dual-detector path losing its shared-fold amortisation
     # and drifting toward the cost of two separate campaigns
     "AES detect (both e2e)": (HOTPATH_ARTIFACT, lambda reps: (
-        detect_seconds(True, True, 8, analyzer="ks", reps=reps)
-        + detect_seconds(True, True, 8, analyzer="mi", reps=reps),
-        detect_seconds(True, True, 8, analyzer="both", reps=reps))),
+        detect_seconds(DETECT_RUNS, analyzer="ks", reps=reps)
+        + detect_seconds(DETECT_RUNS, analyzer="mi", reps=reps),
+        detect_seconds(DETECT_RUNS, analyzer="both", reps=reps))),
     # catches the adaptive scheduler losing its early stop (or its
     # interim looks growing expensive enough to eat the saved replicas)
     "AES detect (adaptive e2e)": (HOTPATH_ARTIFACT, lambda reps: (
-        detect_seconds(True, True, ADAPTIVE_DETECT_RUNS, replica_batch=True,
-                       reps=reps),
-        detect_seconds(True, True, ADAPTIVE_DETECT_RUNS, replica_batch=True,
-                       adaptive=True, reps=reps))),
+        detect_seconds(ADAPTIVE_DETECT_RUNS, reps=reps),
+        detect_seconds(ADAPTIVE_DETECT_RUNS, adaptive=True, reps=reps))),
     "service multi-tenant (e2e)": (SERVICE_ARTIFACT, lambda reps: (
         service_speedup(workers=0, reps=reps))),
 }
 
 _ROW = re.compile(r"^(?P<name>.+?)\s{2,}[\d.]+\s+[\d.]+\s+"
                   r"(?P<speedup>[\d.]+)x\s*$")
+_ABSOLUTE_ROW = re.compile(r"^(?P<name>.+?)\s{2,}[\d.]+\s+[\d.]+\s+"
+                           r"(?P<calibrated>[\d.]+)\s*$")
 
 
 def committed_speedups(text: str) -> Dict[str, float]:
@@ -82,6 +81,17 @@ def committed_speedups(text: str) -> Dict[str, float]:
             speedups[match.group("name").strip()] = float(
                 match.group("speedup"))
     return speedups
+
+
+def committed_calibrated(text: str) -> Dict[str, float]:
+    """Parse {absolute row name: calibrated seconds} out of the artefact."""
+    values = {}
+    for line in text.splitlines():
+        match = _ABSOLUTE_ROW.match(line)
+        if match and match.group("name").strip() in ABSOLUTE_ROWS:
+            values[match.group("name").strip()] = float(
+                match.group("calibrated"))
+    return values
 
 
 def main(argv=None) -> int:
@@ -98,7 +108,9 @@ def main(argv=None) -> int:
                   "run the full bench first", file=sys.stderr)
             return 2
         committed.update(committed_speedups(artifact.read_text()))
-    missing = sorted(set(GATED_ROWS) - set(committed))
+    calibrated = committed_calibrated(HOTPATH_ARTIFACT.read_text())
+    missing = sorted((set(GATED_ROWS) - set(committed))
+                     | (set(ABSOLUTE_ROWS) - set(calibrated)))
     if missing:
         print(f"perf-regression: artefacts lack gated rows {missing}; "
               "regenerate them with the full benches", file=sys.stderr)
@@ -123,6 +135,16 @@ def main(argv=None) -> int:
         print(f"{name}: committed {committed[name]:.2f}x, "
               f"measured {speedup:.2f}x (floor {floor:.2f}x) [{verdict}]")
         if speedup < floor:
+            failures.append(name)
+    for name in ABSOLUTE_ROWS:
+        seconds, calibration = absolute_row(name, args.reps)
+        measured = seconds / calibration
+        ceiling = calibrated[name] / (1 - TOLERANCE)
+        verdict = "ok" if measured <= ceiling else "REGRESSED"
+        print(f"{name}: committed {calibrated[name]:.3f}, measured "
+              f"{measured:.3f} calibrated (ceiling {ceiling:.3f}) "
+              f"[{verdict}]")
+        if measured > ceiling:
             failures.append(name)
     if failures:
         print(f"perf-regression: {len(failures)} row(s) regressed more "

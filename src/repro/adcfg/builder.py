@@ -1,8 +1,8 @@
 """Fold per-warp trace events into a single A-DCFG.
 
 The builder consumes the event stream of one kernel invocation — basic-block
-entries and memory accesses tagged with ``(block id, warp id)`` — and
-aggregates all warps into one graph, eliminating the per-thread redundancy
+entries and per-warp memory batches tagged with ``(block id, warp id)`` —
+and aggregates all warps into one graph, eliminating the per-thread redundancy
 that makes naive multi-thread tracing (à la DATA) blow up in memory.
 
 Per warp, the builder tracks the previous basic block so it can record
@@ -19,14 +19,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.adcfg.graph import ADCFG, END_LABEL, START_LABEL, AddressKey
-from repro.gpusim.events import (
-    BasicBlockEvent,
-    MemoryAccessEvent,
-    MemoryBatchEvent,
-)
-
-#: Maps a raw device byte address to a normalised (label, offset) key.
-Normalizer = Callable[[int], AddressKey]
+from repro.gpusim.events import BasicBlockEvent, MemoryBatchEvent
 
 #: Maps a whole address array to its normalised keys in one call.
 BatchNormalizer = Callable[[np.ndarray], List[AddressKey]]
@@ -37,9 +30,9 @@ KeyIdNormalizer = Callable[
     [np.ndarray], Optional[Tuple[np.ndarray, List[AddressKey]]]]
 
 
-def identity_normalizer(address: int) -> AddressKey:
+def identity_normalizer(addresses: np.ndarray) -> List[AddressKey]:
     """Fallback normaliser: keep raw addresses (single anonymous region)."""
-    return ("<raw>", address)
+    return [("<raw>", address) for address in addresses.tolist()]
 
 
 class ADCFGBuilder:
@@ -47,14 +40,12 @@ class ADCFGBuilder:
 
     def __init__(self, kernel_identity: str, kernel_name: str = "",
                  total_threads: int = 0, num_warps: int = 0,
-                 normalizer: Optional[Normalizer] = None,
                  batch_normalizer: Optional[BatchNormalizer] = None,
                  key_id_normalizer: Optional[KeyIdNormalizer] = None) -> None:
         self.graph = ADCFG(kernel_identity=kernel_identity,
                            kernel_name=kernel_name,
                            total_threads=total_threads, num_warps=num_warps)
-        self._normalizer = normalizer or identity_normalizer
-        self._batch_normalizer = batch_normalizer
+        self._batch_normalizer = batch_normalizer or identity_normalizer
         self._key_id_normalizer = key_id_normalizer
         # per-warp control-flow context: (prev_prev_label, prev_label)
         self._warp_state: Dict[Tuple[int, int], Tuple[str, str]] = {}
@@ -76,14 +67,6 @@ class ADCFGBuilder:
         edge.record(prev_src=prev_prev)
         self._warp_state[warp_key] = (prev, event.label)
 
-    def on_memory_access(self, event: MemoryAccessEvent) -> None:
-        """Record a warp's memory instruction into its (visit, instr) slot."""
-        node = self.graph.node(event.label)
-        keys = [self._normalizer(address) for address in event.addresses]
-        node.record_access(visit=event.visit, instr=event.instr,
-                           space=event.space.value, is_store=event.is_store,
-                           keys=keys)
-
     def on_memory_batch(self, event: MemoryBatchEvent) -> None:
         """Buffer one warp's columnar memory batch for the kernel-wide fold.
 
@@ -99,16 +82,6 @@ class ADCFGBuilder:
         """
         self._pending_batches.append(event)
 
-    def take_pending_batches(self) -> List[MemoryBatchEvent]:
-        """Hand back (and clear) the buffered batches.
-
-        Degradation hook: when the kernel-wide fold fails, the monitor
-        takes the untouched batches and replays them per event.
-        """
-        batches = self._pending_batches
-        self._pending_batches = []
-        return batches
-
     def fold_pending_batches(self) -> None:
         """Fold every buffered batch into the graph in one vectorised pass.
 
@@ -117,11 +90,7 @@ class ADCFGBuilder:
         with multiplicities through one packed sort, and the unique
         addresses of the whole kernel are normalised with a single
         batch-normaliser call.  Each populated slot then receives exactly
-        one :meth:`~repro.adcfg.graph.Node.record_access_bulk` call.  Any
-        failure happens before the graph is touched (packing, sorting and
-        normalisation all precede the apply loop), so the caller can fall
-        back to per-event replay from a clean slate; the buffer is cleared
-        only on success.
+        one :meth:`~repro.adcfg.graph.Node.record_access_bulk` call.
         """
         batches = [event for event in self._pending_batches
                    if event.addresses.shape[0] > 0]
@@ -208,11 +177,7 @@ class ADCFGBuilder:
             pair_key_ids, key_objects = ids_result
         else:
             addr_vals, val_inv = np.unique(unique_addr, return_inverse=True)
-            if self._batch_normalizer is not None:
-                val_keys = self._batch_normalizer(addr_vals)
-            else:
-                val_keys = [self._normalizer(address)
-                            for address in addr_vals.tolist()]
+            val_keys = self._batch_normalizer(addr_vals)
             key_index: Dict[AddressKey, int] = {}
             key_objects = []
             val_key_ids = np.empty(len(val_keys), dtype=np.int64)
@@ -297,11 +262,7 @@ class ADCFGBuilder:
             unique_addr = sorted_addr[starts]
             unique_instr = sorted_instr[starts]
         counts = np.diff(starts, append=total).tolist()
-        if self._batch_normalizer is not None:
-            keys = self._batch_normalizer(unique_addr)
-        else:
-            keys = [self._normalizer(address)
-                    for address in unique_addr.tolist()]
+        keys = self._batch_normalizer(unique_addr)
         # slice boundaries of each instruction's unique keys
         bounds = np.searchsorted(unique_instr,
                                  np.arange(n_instr + 1)).tolist()

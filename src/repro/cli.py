@@ -124,20 +124,6 @@ def _add_detect_options(parser: argparse.ArgumentParser) -> None:
                         help="trace-recording worker processes: a positive "
                              "int or 'auto' for one per CPU core; any value "
                              "yields bit-identical reports (default: 1)")
-    parser.add_argument("--no-columnar", action="store_true",
-                        help="record traces through the per-event object "
-                             "pipeline instead of the (default) columnar "
-                             "fast path; both produce identical traces")
-    parser.add_argument("--no-cohort", action="store_true",
-                        help="execute kernels with the per-warp reference "
-                             "loop instead of the (default) warp-cohort "
-                             "engine that runs all warps of a launch in one "
-                             "NumPy pass; both produce identical traces")
-    parser.add_argument("--no-replica-batch", action="store_true",
-                        help="record each repetition of a launch "
-                             "separately instead of (the default) fusing "
-                             "fixed-input replicas into one cohort grid; "
-                             "both produce identical reports")
     parser.add_argument("--replica-dedup", action="store_true",
                         help="record each group of equal inputs once and "
                              "reuse the trace for the whole group; only "
@@ -398,7 +384,7 @@ def build_subcommand_parser() -> argparse.ArgumentParser:
 
 def _add_service_connection(parser: argparse.ArgumentParser,
                             for_serve: bool = False) -> None:
-    """``--connect URL`` (plus deprecated aliases), shared by the verbs."""
+    """``--connect URL`` (and credentials), shared by the verbs."""
     parser.add_argument("--connect", metavar="URL", default=None,
                         help="service endpoint as a URL: unix:///path, "
                              "tcp://host:port, or http://host:port "
@@ -406,12 +392,6 @@ def _add_service_connection(parser: argparse.ArgumentParser,
                                 "<queue>/owl.sock)" if for_serve
                                 else "(must match what owl serve "
                                      "listens on)"))
-    parser.add_argument("--socket", metavar="PATH", default=None,
-                        help="deprecated: use --connect unix://PATH")
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="deprecated: use --connect tcp://HOST:PORT")
-    parser.add_argument("--port", type=int, default=None,
-                        help="deprecated: use --connect tcp://HOST:PORT")
     if not for_serve:
         parser.add_argument("--token", default=None,
                             help="bearer token for an authenticated "
@@ -485,9 +465,6 @@ def _config_from_args(parser: argparse.ArgumentParser,
         analyze_all_representatives=args.all_representatives,
         offset_granularity=args.granularity, quantify=args.quantify,
         workers=_resolve_workers(parser, args.workers),
-        columnar=not args.no_columnar,
-        cohort=not args.no_cohort,
-        replica_batch=not args.no_replica_batch,
         replica_dedup=args.replica_dedup,
         retry=retry, fault_plan=fault_plan)
 
@@ -696,7 +673,7 @@ def _cmd_resume(parser: argparse.ArgumentParser,
             exit_code = max(exit_code, 2)
             continue
         program, fixed_inputs, random_input = workloads[name]
-        config = OwlConfig(**body["config"])
+        config = OwlConfig.from_dict(body["config"])
         if config.fault_plan is not None:
             # an interrupted *injected* campaign must not re-crash on
             # resume: the stored artifacts are sound (bit-identity holds
@@ -851,26 +828,15 @@ def _service_address(parser: argparse.ArgumentParser,
                      args: argparse.Namespace,
                      queue_dir: Optional[Path] = None):
     from repro.errors import ConfigError
-    from repro.service.address import parse_address, parse_connect
+    from repro.service.address import parse_connect
     if args.connect is not None:
-        if args.socket is not None or args.port is not None:
-            parser.error("--connect replaces --socket/--host/--port; "
-                         "pass only one form")
         try:
             return parse_connect(args.connect)
         except ConfigError as error:
             parser.error(str(error))
-    if args.socket is not None:
-        print(f"owl: --socket is deprecated; use "
-              f"--connect unix://{args.socket}", file=sys.stderr)
-        return parse_address(socket_path=args.socket)
-    if args.port is not None:
-        print(f"owl: --host/--port are deprecated; use "
-              f"--connect tcp://{args.host}:{args.port}", file=sys.stderr)
-        return parse_address(host=args.host, port=args.port)
     if queue_dir is None:
         parser.error("pass --connect URL to reach the service")
-    return parse_address(socket_path=str(queue_dir / "owl.sock"))
+    return ("unix", str(queue_dir / "owl.sock"))
 
 
 def _service_client(parser: argparse.ArgumentParser,

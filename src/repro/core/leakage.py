@@ -19,7 +19,7 @@ feature whether the two sides follow the same distribution:
 
 The analysis walks the aligned evidence **once**: the traversal folds every
 feature's histogram pair and hands it to a :class:`_TestSink`, which either
-tests it on the spot (the scalar reference path) or defers it into a single
+tests it on the spot (the Welch ablation) or defers it into a single
 batched test call covering the whole A-DCFG — one NumPy pass over every
 kernel/control-flow/data-flow feature, with the leak emission order
 identical on both paths.
@@ -85,10 +85,6 @@ class LeakageConfig:
     #: feature sample per run — requires evidence built with
     #: ``keep_per_run=True``; immune to correlated-lane over-dispersion)
     sampling: str = "pooled"
-    #: evaluate all KS features in one vectorized NumPy pass
-    #: (:func:`~repro.core.kstest.ks_test_batch`); False forces the scalar
-    #: per-feature reference path.  Only affects ``test="ks"``.
-    vectorized: bool = True
     #: entropy bias correction for the MI detector
     #: (:mod:`repro.analysis.mi`): "miller_madow" (default), "jackknife",
     #: "shrinkage", or "none" (raw plug-in estimate)
@@ -130,11 +126,11 @@ class _TestSink:
 
     The traversal emits definite leaks directly and submits *groups* — a
     list of feature requests plus a resolver turning their results into
-    leaks.  Deferred mode (vectorized) accumulates every request across
+    leaks.  Deferred mode (KS and MI) accumulates every request across
     the whole traversal and evaluates them in one batched test call
     (:meth:`LeakageAnalyzer._batch_test`) before running the resolvers in
-    traversal order; inline mode (Welch, or ``vectorized=False``) tests
-    and resolves each group on the spot.  The leak emission order is
+    traversal order; inline mode (the Welch ablation) tests and resolves
+    each group on the spot.  The leak emission order is
     identical on both paths because groups resolve in submission order
     either way.
 
@@ -322,7 +318,7 @@ class LeakageAnalyzer:
 
     def _defer(self) -> bool:
         """Whether this detector's tests batch into one vectorized pass."""
-        return self.config.test == "ks" and self.config.vectorized
+        return self.config.test == "ks"
 
     # ------------------------------------------------------------------
     # kernel leakage

@@ -41,7 +41,7 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.core.evidence import Evidence
 from repro.errors import ConfigError
@@ -149,114 +149,74 @@ class ChunkStats:
         self.degradations.extend(other.degradations)
 
 
-def _replica_batches(values: Sequence[object],
-                     replica_batch) -> Optional[List[Sequence[object]]]:
-    """Partition *values* into replica batches (None = serial reference).
+def _recorded(program: Program, device_config: Optional[DeviceConfig],
+              values: Sequence[object], buffered: bool, dedup: bool,
+              stats: ChunkStats) -> Iterator[Tuple[ProgramTrace, int]]:
+    """Record *values*, yielding ``(trace, count)`` groups in run order.
 
-    ``True`` batches the whole chunk; an int ``n >= 2`` caps batches at
-    *n* runs; ``False`` / ``None`` / ``n <= 1`` keep the per-run loop.
+    Runs record as one replica batch; on a buffered channel (which drains
+    after each run) they record one at a time, each trace yielded as soon
+    as it exists so the caller can fold and drop it.  Recording cost and
+    replica counters land on *stats*.
     """
-    if len(values) <= 1:
-        return None
-    if replica_batch is True:
-        size = len(values)
-    elif isinstance(replica_batch, bool) or replica_batch is None:
-        return None
-    elif isinstance(replica_batch, int) and replica_batch >= 2:
-        size = replica_batch
-    else:
-        return None
-    return [values[start:start + size]
-            for start in range(0, len(values), size)]
+    if not buffered:
+        from repro.tracing.replica import record_grouped
 
-
-def _record_grouped_batches(
-        program: Program, device_config: Optional[DeviceConfig],
-        batches: List[Sequence[object]], columnar: bool, cohort: bool,
-        dedup: bool,
-        stats: ChunkStats) -> List[Tuple[ProgramTrace, int, float]]:
-    """Record replica batches; yields ``(trace, count, per_run_seconds)``."""
-    from repro.tracing.replica import record_grouped
-
-    out: List[Tuple[ProgramTrace, int, float]] = []
-    for batch in batches:
         started = time.perf_counter()
         groups, replica_stats = record_grouped(
-            program, batch, device_config=device_config,
-            columnar=columnar, cohort=cohort, dedup=dedup)
+            program, values, device_config=device_config, dedup=dedup)
         elapsed = time.perf_counter() - started
         stats.add_replica_stats(replica_stats)
         total_runs = sum(count for _trace, count in groups)
         per_run = elapsed / total_runs if total_runs else 0.0
-        out.extend((trace, count, per_run) for trace, count in groups)
-    return out
-
-
-def _record_trace_chunk(
-        program: Program, device_config: Optional[DeviceConfig],
-        values: Sequence[object], buffered: bool, columnar: bool,
-        cohort: bool, replica_batch=False, replica_dedup: bool = False,
-) -> Tuple[List[ProgramTrace], ChunkStats]:
-    """Worker body for phase 1: record and return the raw traces."""
-    stats = ChunkStats()
-    traces: List[ProgramTrace] = []
-    batches = None if buffered else _replica_batches(values, replica_batch)
-    if batches is not None:
-        for trace, count, per_run in _record_grouped_batches(
-                program, device_config, batches, columnar, cohort,
-                replica_dedup, stats):
+        for trace, count in groups:
             stats.add_trace(trace, per_run, count=count)
-            # pre-compute the digest so the phase-2 grouping in the parent
-            # reuses it instead of re-serialising every A-DCFG
-            trace.signature()
-            traces.extend([trace] * count)
-        return traces, stats
-    recorder = TraceRecorder(device_config=device_config, buffered=buffered,
-                             columnar=columnar, cohort=cohort)
+            yield trace, count
+        return
+    recorder = TraceRecorder(device_config=device_config, buffered=True)
     for value in values:
         started = time.perf_counter()
         trace = recorder.record(program, value)
         stats.add_trace(trace, time.perf_counter() - started)
+        yield trace, 1
+
+
+def _record_trace_chunk(
+        program: Program, device_config: Optional[DeviceConfig],
+        values: Sequence[object], buffered: bool,
+        replica_dedup: bool = False,
+) -> Tuple[List[ProgramTrace], ChunkStats]:
+    """Worker body for phase 1: record and return the raw traces."""
+    stats = ChunkStats()
+    traces: List[ProgramTrace] = []
+    for trace, count in _recorded(program, device_config, values, buffered,
+                                  replica_dedup, stats):
         # pre-compute the digest worker-side so the phase-2 grouping in the
         # parent reuses it instead of re-serialising every A-DCFG
         trace.signature()
-        traces.append(trace)
+        traces.extend([trace] * count)
     return traces, stats
 
 
 def _record_evidence_chunk(
         program: Program, device_config: Optional[DeviceConfig],
         values: Sequence[object], keep_per_run: bool, buffered: bool,
-        columnar: bool, cohort: bool, replica_batch=False,
         replica_dedup: bool = False,
 ) -> Tuple[Evidence, ChunkStats]:
     """Worker body for phase 3: fold the chunk's runs into partial evidence.
 
-    Each trace is dropped as soon as it is merged, so worker peak RAM is one
-    trace plus the growing partial evidence — the streaming fold that keeps
-    the Table IV memory column flat at high run counts.
+    Each trace is dropped as soon as it is merged, so on the buffered
+    channel worker peak RAM is one trace plus the growing partial
+    evidence — the streaming fold that keeps the Table IV memory column
+    flat at high run counts.
     """
     stats = ChunkStats()
     evidence = Evidence(keep_per_run=keep_per_run)
-    batches = None if buffered else _replica_batches(values, replica_batch)
-    if batches is not None:
-        for trace, count, per_run in _record_grouped_batches(
-                program, device_config, batches, columnar, cohort,
-                replica_dedup, stats):
-            stats.add_trace(trace, per_run, count=count)
-            folded = time.perf_counter()
-            evidence.add_trace_repeated(trace, count)
-            stats.evidence_seconds += time.perf_counter() - folded
-        return evidence, stats
-    recorder = TraceRecorder(device_config=device_config, buffered=buffered,
-                             columnar=columnar, cohort=cohort)
-    for value in values:
-        started = time.perf_counter()
-        trace = recorder.record(program, value)
-        recorded = time.perf_counter()
-        stats.add_trace(trace, recorded - started)
-        evidence.add_trace(trace)
-        stats.evidence_seconds += time.perf_counter() - recorded
+    for trace, count in _recorded(program, device_config, values, buffered,
+                                  replica_dedup, stats):
+        folded = time.perf_counter()
+        evidence.add_trace_repeated(trace, count)
+        stats.evidence_seconds += time.perf_counter() - folded
     return evidence, stats
 
 
@@ -277,9 +237,8 @@ class TraceRecordingPool:
 
     def __init__(self, program: Program,
                  device_config: Optional[DeviceConfig] = None,
-                 workers: WorkerSpec = 1, buffered: bool = False,
-                 columnar: bool = True, cohort: bool = True, *,
-                 replica_batch=False, replica_dedup: bool = False,
+                 workers: WorkerSpec = 1, buffered: bool = False, *,
+                 replica_dedup: bool = False,
                  retry: Optional[RetryPolicy] = None,
                  fault_plan: Optional[FaultPlan] = None,
                  seed: int = 0) -> None:
@@ -287,9 +246,6 @@ class TraceRecordingPool:
         self.device_config = device_config
         self.workers = resolve_workers(workers)
         self.buffered = buffered
-        self.columnar = columnar
-        self.cohort = cohort
-        self.replica_batch = replica_batch
         self.replica_dedup = replica_dedup
         self.retry = retry or RetryPolicy()
         self.fault_plan = fault_plan
@@ -304,9 +260,7 @@ class TraceRecordingPool:
         """Record one trace per value (phase 1: traces are kept)."""
         with collecting_degradations() as log:
             chunks = self._run_chunks(_record_trace_chunk, values,
-                                      (self.buffered, self.columnar,
-                                       self.cohort, self.replica_batch,
-                                       self.replica_dedup))
+                                      (self.buffered, self.replica_dedup))
         traces: List[ProgramTrace] = []
         stats = ChunkStats()
         for chunk_traces, chunk_stats in chunks:
@@ -322,8 +276,6 @@ class TraceRecordingPool:
         with collecting_degradations() as log:
             chunks = self._run_chunks(_record_evidence_chunk, values,
                                       (keep_per_run, self.buffered,
-                                       self.columnar, self.cohort,
-                                       self.replica_batch,
                                        self.replica_dedup))
         evidence: Optional[Evidence] = None
         stats = ChunkStats()
@@ -363,9 +315,9 @@ class TraceRecordingPool:
         values = list(values)
         workers = self._effective_workers(len(values))
         if workers <= 1:
-            # the in-process reference path; device-level fault kinds
-            # (cohort violations, batch-fold errors) still apply so the
-            # degradation ladder is exercised at any worker count
+            # in-process; device-level fault kinds (cohort and replica
+            # violations) still apply so the degradation ladder is
+            # exercised at any worker count
             with activated(self.fault_plan, chunk_index=0, attempt=0,
                            in_worker=False):
                 return [worker_fn(self.program, self.device_config, values,

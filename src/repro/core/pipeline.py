@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import time
 import tracemalloc
-import warnings
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from dataclasses import dataclass, field, fields
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -52,10 +51,17 @@ from repro.gpusim.device import DeviceConfig
 from repro.resilience.events import DegradationEvent, collecting_degradations
 from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
-from repro.tracing.recorder import Program, ProgramTrace, TraceRecorder
+from repro.tracing.recorder import Program, ProgramTrace
 
 #: Produces a fresh random secret input from a seeded generator.
 RandomInputFn = Callable[[np.random.Generator], object]
+
+
+#: OwlConfig fields that once selected a slower path with byte-identical
+#: results and are gone now.  Configs stored before their removal
+#: (campaign manifests, queued work units) may still carry them.
+RETIRED_FIELDS = frozenset({"vectorized", "columnar", "cohort",
+                            "replica_batch"})
 
 
 @dataclass(frozen=True)
@@ -99,32 +105,6 @@ class OwlConfig:
     #: contiguous chunks, so any worker count produces bit-identical
     #: evidence and reports (see repro.core.parallel).
     workers: Union[int, str] = 1
-    #: evaluate all KS features in one vectorized NumPy pass instead of
-    #: per-feature scalar calls (identical verdicts; the scalar path stays
-    #: available as the reference implementation)
-    vectorized: bool = True
-    #: record traces through the columnar fast path: per-warp batched
-    #: memory events, one vectorized address normalisation per instruction,
-    #: and bulk A-DCFG folding.  Produces byte-identical traces to the
-    #: per-event object path (``columnar=False``), which stays as the
-    #: reference implementation.
-    columnar: bool = True
-    #: execute every warp of a kernel launch in one NumPy pass over a
-    #: ``(num_warps, 32)`` lane grid (the warp-cohort engine), replaying
-    #: byte-identical per-warp event streams at retirement.
-    #: ``cohort=False`` keeps the per-warp execution loop as the
-    #: reference.  Excluded from store fingerprints, like ``columnar``.
-    cohort: bool = True
-    #: replica-cohort batching for the phase-3 repetition loops: runs with
-    #: equal inputs on a deterministic device are deduplicated into
-    #: ``(trace, count)`` groups, and the remaining distinct runs execute
-    #: their kernel launches as extra rows of the warp-cohort lane grid —
-    #: one NumPy pass per group of compatible launches.  ``True`` batches
-    #: a whole side's runs together, an int ``n >= 2`` caps the batch
-    #: size, and ``False`` keeps the per-run recording loop as the
-    #: reference.  Reports are byte-identical either way; excluded from
-    #: store fingerprints, like ``cohort``.
-    replica_batch: Union[bool, int] = True
     #: additionally collapse consecutive equal-input runs into a single
     #: recording (O(1) work for the whole fixed side).  Only sound when
     #: the program is a pure function of ``(rt, value)``: a program that
@@ -158,7 +138,7 @@ class OwlConfig:
     #: Near-threshold locations force the full budget, so the flagged
     #: leak set matches the full-budget run's; the replica counts (and
     #: hence report byte content) legitimately differ.  Requires the
-    #: batched deferred tests (``vectorized=True`` and ``test="ks"``).
+    #: batched deferred tests (``test="ks"``).
     #: Fingerprints as analysis scope: adaptive and classic campaigns
     #: share traces and evidence but cache reports separately.
     adaptive: bool = False
@@ -210,12 +190,6 @@ class OwlConfig:
             raise ConfigError(
                 f"sample_size_cap must be a positive int or None, got "
                 f"{self.sample_size_cap!r}")
-        if not isinstance(self.replica_batch, (bool, int)) or (
-                not isinstance(self.replica_batch, bool)
-                and self.replica_batch < 1):
-            raise ConfigError(
-                f"replica_batch must be a bool or a positive int, got "
-                f"{self.replica_batch!r}")
         if not isinstance(self.replica_dedup, bool):
             raise ConfigError(
                 f"replica_dedup must be a bool, got {self.replica_dedup!r}")
@@ -236,11 +210,10 @@ class OwlConfig:
             raise ConfigError(
                 f"adaptive_alpha_spend must be a number in (0, 4], got "
                 f"{self.adaptive_alpha_spend!r}")
-        if self.adaptive and (not self.vectorized or self.test != "ks"):
+        if self.adaptive and self.test != "ks":
             raise ConfigError(
                 "adaptive early stopping needs the per-location p-values "
-                "of the batched deferred tests; it requires "
-                "vectorized=True and test='ks'")
+                "of the batched deferred tests; it requires test='ks'")
         resolve_workers(self.workers)  # raises ConfigError on bad specs
         # campaign manifests round-trip these nested configs through
         # dataclasses.asdict; coerce the dict (or spec-string) forms back
@@ -255,6 +228,28 @@ class OwlConfig:
             object.__setattr__(self, "fault_plan",
                                FaultPlan.coerce(self.fault_plan))
 
+    @classmethod
+    def from_dict(cls, data: Optional[Dict],
+                  stored: bool = True) -> "OwlConfig":
+        """Rebuild a config from its ``dataclasses.asdict`` form.
+
+        ``stored=True`` is for dicts this program wrote earlier (campaign
+        manifests, queued work units): keys in :data:`RETIRED_FIELDS`
+        are dropped.  ``stored=False`` is for a client's dict, where every
+        key must name a current field.  Unknown keys raise
+        :class:`ConfigError` naming them.
+        """
+        data = dict(data or {})
+        if stored:
+            for name in RETIRED_FIELDS:
+                data.pop(name, None)
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(
+                f"unknown OwlConfig field(s): "
+                f"{', '.join(repr(name) for name in unknown)}")
+        return cls(**data)
+
     def leakage_config(self) -> LeakageConfig:
         return LeakageConfig(confidence=self.confidence,
                              sample_size_cap=self.sample_size_cap,
@@ -262,7 +257,6 @@ class OwlConfig:
                              offset_granularity=self.offset_granularity,
                              quantify=self.quantify,
                              sampling=self.sampling,
-                             vectorized=self.vectorized,
                              mi_bias_correction=self.mi_bias_correction,
                              mi_min_bits=self.mi_min_bits)
 
@@ -301,16 +295,15 @@ class PhaseStats:
     cached_runs: int = 0
     #: the final report itself came straight from the store
     report_cache_hit: bool = False
-    #: replica-batching counters (all 0 with ``replica_batch=False``):
-    #: runs served by deduplicating equal inputs, fused cohort groups
-    #: executed, launches retired from fused groups, and launches that
-    #: fell back to the per-run engine
+    #: replica-batching counters: runs served by deduplicating equal
+    #: inputs, fused cohort groups executed, launches retired from fused
+    #: groups, and launches that fell back to the per-run engine
     replica_dedup_runs: int = 0
     replica_fused_groups: int = 0
     replica_fused_launches: int = 0
     replica_fallback_launches: int = 0
     #: structured record of every fault this run survived (worker retries,
-    #: pool → serial, cohort → warp, columnar → object, quarantined blobs);
+    #: pool → serial, cohort → warp, replica → run, quarantined blobs);
     #: empty on a fault-free run — degraded runs stay bit-identical, this
     #: is the only externally visible difference
     degradations: List[DegradationEvent] = field(default_factory=list)
@@ -411,15 +404,9 @@ class Owl:
             self.device_config = replace(
                 self.device_config,
                 cohort_step_budget=self.config.cohort_step_budget)
-        self.recorder = TraceRecorder(device_config=self.device_config,
-                                      columnar=self.config.columnar,
-                                      cohort=self.config.cohort)
         self.pool = TraceRecordingPool(program,
                                        device_config=self.device_config,
                                        workers=self.config.workers,
-                                       columnar=self.config.columnar,
-                                       cohort=self.config.cohort,
-                                       replica_batch=self.config.replica_batch,
                                        replica_dedup=self.config.replica_dedup,
                                        retry=self.config.retry,
                                        fault_plan=self.config.fault_plan,
@@ -737,13 +724,12 @@ class Owl:
     # full pipeline
     # ------------------------------------------------------------------
 
-    def detect(self, inputs: Sequence[object], *args,
-               random_input: Optional[RandomInputFn] = None,
+    def detect(self, inputs: Sequence[object], *,
+               random_input: RandomInputFn,
                store=None, reuse_report: bool = True) -> OwlResult:
         """Run all three phases and return the located leaks.
 
-        Everything past ``inputs`` is keyword-only in the stable API
-        (positional calls still work for one deprecation cycle and warn).
+        Everything past ``inputs`` is keyword-only.
 
         ``store`` (a :class:`~repro.store.store.TraceStore` or a path to
         create/open one) turns the call into a campaign: phase-1 traces
@@ -754,29 +740,6 @@ class Owl:
         one store must use distinct ``name``s: the store cannot see
         through the program callable, so the name *is* the version label.
         """
-        if args:
-            names = ("random_input", "store", "reuse_report")
-            if len(args) > len(names):
-                raise TypeError(
-                    f"detect() takes at most {len(names)} arguments past "
-                    f"'inputs' ({len(args)} given)")
-            warnings.warn(
-                f"passing {', '.join(names[:len(args)])} to Owl.detect() "
-                f"positionally is deprecated; use keyword arguments",
-                DeprecationWarning, stacklevel=2)
-            shifted = dict(zip(names, args))
-            if "random_input" in shifted:
-                if random_input is not None:
-                    raise TypeError(
-                        "detect() got multiple values for 'random_input'")
-                random_input = shifted["random_input"]
-            if "store" in shifted:
-                store = shifted["store"]
-            if "reuse_report" in shifted:
-                reuse_report = shifted["reuse_report"]
-        if random_input is None:
-            raise TypeError("detect() missing required argument: "
-                            "'random_input'")
         campaign = self._campaign(store)
         stats = PhaseStats(workers=resolve_workers(self.config.workers))
         tracking_memory = False

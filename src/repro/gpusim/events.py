@@ -111,9 +111,9 @@ class MemoryBatchEvent(TraceEvent):
       byte addresses (``int64``), with instruction *i* owning the slice
       ``addresses[extents[i]:extents[i + 1]]``.
 
-    Instruction order within the batch is the warp's emission order, so
-    folding a batch is equivalent to folding its expansion into individual
-    events (the equality tests assert byte-identical A-DCFGs).
+    Instruction order within the batch is the warp's emission order, so a
+    batch carries exactly the information of its expansion into individual
+    events (:meth:`iter_events`).
     """
 
     block_id: int
@@ -134,8 +134,9 @@ class MemoryBatchEvent(TraceEvent):
     def iter_events(self):
         """Expand back into per-instruction :class:`MemoryAccessEvent`s.
 
-        Reference-path helper (tests and any consumer that predates the
-        columnar pipeline): yields events in the original emission order.
+        Yields the stream a plain (non-columnar) device emits for the same
+        warp, in emission order — the tests' bridge between the two
+        device modes.
         """
         for i in range(self.num_instructions):
             lo, hi = int(self.extents[i]), int(self.extents[i + 1])

@@ -1,7 +1,7 @@
 """Structured degradation records and their process-local collection point.
 
 Every time the pipeline survives a fault by taking a slower-but-equivalent
-path — pool → serial, cohort → warp, columnar → object, store blob →
+path — pool → serial, cohort → warp, replica → run, store blob →
 re-record — it appends one :class:`DegradationEvent` to the active
 :class:`DegradationLog`.  Events are plain picklable dataclasses: worker
 processes collect them locally and ship them back inside
@@ -30,7 +30,6 @@ POOL_TO_SERIAL = "pool_to_serial"
 CHUNK_TIMEOUT = "chunk_timeout"
 COHORT_TO_WARP = "cohort_to_warp"
 REPLICA_TO_RUN = "replica_to_run"
-COLUMNAR_TO_OBJECT = "columnar_to_object"
 STORE_QUARANTINE = "store_quarantine"
 #: fleet-level rungs (the detection service's lifted ladder): a worker
 #: process died or went silent past its lease, its leased units were
@@ -47,7 +46,7 @@ class DegradationEvent:
 
     ``kind`` is a rung of the degradation ladder (see the module constants),
     ``subsystem`` names the layer that degraded (``pool`` / ``cohort`` /
-    ``columnar`` / ``store``), ``reason`` is the one-line human cause, and
+    ``replica`` / ``store``), ``reason`` is the one-line human cause, and
     ``context`` carries the machine-readable coordinates (chunk index,
     attempt number, launch ordinal, store key, ...).
     """

@@ -34,9 +34,6 @@ Supported fault kinds:
                           back to per-replica execution; param ``launch``
                           (per-execution launch ordinal, default: every
                           launch)
-``batch_fold_error``      folding a columnar memory batch raises, forcing
-                          the columnar → object downgrade; param ``kernel``
-                          (name substring, default: every batch)
 ========================  ====================================================
 
 Worker-directed faults (crash / timeout) fire only inside real pool worker
@@ -56,7 +53,7 @@ from repro.errors import ConfigError
 
 #: Recognised fault kinds (parse-time validation).
 FAULT_KINDS = ("worker_crash", "chunk_timeout", "blob_corruption",
-               "cohort_violation", "replica_violation", "batch_fold_error")
+               "cohort_violation", "replica_violation")
 
 #: Exit status used by injected worker crashes (distinguishable in logs).
 CRASH_EXIT_STATUS = 17
@@ -253,18 +250,6 @@ def replica_violation_for(launch_index: int) -> Optional[FaultSpec]:
         return None
     for spec in ctx.plan.of_kind("replica_violation"):
         if spec.matches("launch", launch_index):
-            return spec
-    return None
-
-
-def batch_fold_fault_for(kernel_name: str) -> Optional[FaultSpec]:
-    """The batch-fold fault matching this kernel, if any."""
-    ctx = _current()
-    if ctx is None:
-        return None
-    for spec in ctx.plan.of_kind("batch_fold_error"):
-        kernel = spec.get("kernel")
-        if kernel is None or str(kernel) in kernel_name:
             return spec
     return None
 

@@ -58,7 +58,7 @@ def run_supervised_chunk(worker_fn: Callable, payload: bytes,
 
     The payload arrives pre-pickled (the supervisor serialised it to
     separate submit-time from result-time errors); degradations recorded by
-    deeper layers during the chunk (cohort → warp, columnar → object) are
+    deeper layers during the chunk (cohort → warp, replica → run) are
     returned alongside the result so the parent can fold them into its
     accounting.
     """

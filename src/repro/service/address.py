@@ -16,7 +16,7 @@ socket for convenience.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.errors import ConfigError
 
@@ -62,7 +62,7 @@ def parse_connect(url: str) -> Address:
         raise ConfigError(
             f"unsupported connection scheme {scheme!r} in {url!r} "
             f"(choose unix://, tcp://, or http://)")
-    # a bare path reads as a unix socket, matching the old --socket flag
+    # a bare path reads as a unix socket
     return ("unix", text)
 
 
@@ -73,14 +73,3 @@ def format_address(address: Address) -> str:
         return f"unix://{target}"
     host, port = target  # type: ignore[misc]
     return f"{kind}://{host}:{port}"
-
-
-def parse_address(socket_path: Optional[str] = None,
-                  host: Optional[str] = None,
-                  port: Optional[int] = None) -> Address:
-    """Legacy ``--socket`` / ``--host`` / ``--port`` resolution."""
-    if port is not None:
-        return ("tcp", (host or "127.0.0.1", int(port)))
-    if socket_path is None:
-        raise ValueError("need either a unix socket path or a TCP port")
-    return ("unix", str(socket_path))

@@ -18,11 +18,9 @@ service rejects :class:`~repro.errors.ServiceError` — all of them
 :class:`~repro.errors.CampaignError` subclasses, so existing ``except``
 clauses keep working.
 
-The pre-redesign module-level helpers (``submit`` / ``status`` /
-``results`` / ``wait_for`` returning raw protocol dicts) survive as
-:class:`DeprecationWarning` shims over a throwaway client; ``request`` /
-``ping`` / ``wait_until_up`` / ``shutdown`` remain plain functions since
-scripts use them for liveness plumbing rather than results.
+``request`` / ``ping`` / ``wait_until_up`` / ``shutdown`` are also
+plain module-level functions over a throwaway client, since scripts use
+them for liveness plumbing rather than results.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ import http.client
 import json
 import socket as socket_module
 import time
-import warnings
 from typing import Dict, Iterator, Optional, Union
 
 from repro.errors import (
@@ -352,7 +349,7 @@ class ServiceClient:
 
 
 # ----------------------------------------------------------------------
-# legacy module-level API (dict-returning) — deprecated shims
+# module-level liveness plumbing
 # ----------------------------------------------------------------------
 
 
@@ -374,52 +371,3 @@ def wait_until_up(address: Address, timeout: float = 30.0,
 
 def shutdown(address: Address, timeout: float = 30.0) -> None:
     ServiceClient(address, timeout=timeout).shutdown()
-
-
-def _deprecated(name: str) -> None:
-    warnings.warn(
-        f"repro.service.client.{name}() is deprecated; use "
-        f"ServiceClient (typed results) instead",
-        DeprecationWarning, stacklevel=3)
-
-
-def submit(address: Address, workload: str,
-           config: Optional[Dict] = None, timeout: float = 30.0) -> str:
-    _deprecated("submit")
-    receipt = ServiceClient(address, timeout=timeout).submit(
-        workload, config=config)
-    return receipt.campaign
-
-
-def status(address: Address, campaign: Optional[str] = None,
-           timeout: float = 30.0) -> Dict:
-    _deprecated("status")
-    client = ServiceClient(address, timeout=timeout)
-    response = client._checked({"op": "status", "campaign": campaign})
-    return response["status"]
-
-
-def results(address: Address, campaign: str,
-            timeout: float = 30.0) -> Dict:
-    _deprecated("results")
-    client = ServiceClient(address, timeout=timeout)
-    response = client._checked({"op": "results", "campaign": campaign})
-    return response["results"]
-
-
-def wait_for(address: Address, campaign: str, timeout: float = 300.0,
-             poll: float = 0.1) -> Dict:
-    """Deprecated: poll until terminal; returns the raw status row."""
-    _deprecated("wait_for")
-    client = ServiceClient(address)
-    deadline = time.time() + timeout
-    while True:
-        response = client._checked({"op": "status", "campaign": campaign})
-        row = response["status"]
-        if row["stage"] in ("complete", "failed"):
-            return row
-        if time.time() > deadline:
-            raise CampaignError(
-                f"campaign {campaign} still in stage {row['stage']!r} "
-                f"after {timeout:.0f}s")
-        time.sleep(poll)

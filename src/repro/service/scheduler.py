@@ -105,7 +105,7 @@ def campaign_identity(workload: str, config: OwlConfig) -> str:
     """The coalescing key: what makes two submissions the same detection.
 
     Built from the same fingerprints the store keys reports under —
-    operational knobs (workers, columnar, cohort, …) never enter it.
+    operational knobs (workers, retry, fault plans, …) never enter it.
     """
     from repro.apps.registry import resolve
     _program, fixed_inputs, _random = resolve(workload)
@@ -184,7 +184,7 @@ class CampaignScheduler:
         """
         import dataclasses
 
-        config = OwlConfig(**(config_overrides or {}))
+        config = OwlConfig.from_dict(config_overrides, stored=False)
         quota = self.config.quota_for(tenant)
         if quota.max_campaigns is not None:
             active = sum(1 for state in self.campaigns.values()
@@ -430,7 +430,7 @@ class CampaignScheduler:
 
     def _advance(self, state: CampaignState, payloads: Dict) -> None:
         spec = state.spec()
-        config = OwlConfig(**state.config_dict)
+        config = OwlConfig.from_dict(state.config_dict)
         if state.stage == STAGE_TRACING:
             from repro.apps.registry import resolve
             _program, fixed_inputs, _random = resolve(state.workload)
@@ -651,7 +651,7 @@ class CampaignScheduler:
             if cid in self.campaigns:
                 continue
             spec = specs[cid]
-            config = OwlConfig(**spec["config"])
+            config = OwlConfig.from_dict(spec["config"])
             state = CampaignState(
                 cid=cid, workload=spec["workload"],
                 config_dict=dataclasses.asdict(config),

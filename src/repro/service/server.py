@@ -32,8 +32,7 @@ import asyncio
 import json
 from typing import Dict, Optional
 
-from repro.service.address import (  # noqa: F401 — legacy import site
-    Address, format_address, parse_address, parse_connect)
+from repro.service.address import Address
 from repro.service.api import ServiceAPI
 from repro.service.scheduler import CampaignScheduler
 

@@ -9,12 +9,10 @@ addresses are off the table — values are folded into SHA-256 through an
 explicit, tagged, canonical encoding instead.
 
 Configuration fingerprints are *scoped*: only the fields that can change
-the artifact's bytes participate.  ``workers``, ``columnar``, ``cohort``,
-``vectorized``, ``replica_batch`` and ``replica_dedup`` are deliberately
-excluded everywhere — the parallel, columnar, warp-cohort, batched-KS
-and replica-batching paths are proven bit-identical to their reference
-implementations, so a store warmed under one of those settings is valid
-under any other.
+the artifact's bytes participate.  ``workers``, ``replica_dedup``,
+``store_checkpoint_every``, ``retry`` and ``fault_plan`` are deliberately
+excluded everywhere: they change how a campaign runs, never the bytes it
+produces, so a store warmed under one setting is valid under any other.
 """
 
 from __future__ import annotations

@@ -40,7 +40,6 @@ import json
 import os
 import threading
 import time
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -96,18 +95,8 @@ class Entry:
 class TraceStore:
     """Content-addressed, versioned on-disk store for Owl artifacts."""
 
-    def __init__(self, root: Union[str, Path], *args,
-                 create: bool = True, journal: bool = True) -> None:
-        if args:
-            if len(args) > 1:
-                raise TypeError(
-                    f"TraceStore() takes at most 1 argument past 'root' "
-                    f"({len(args)} given)")
-            warnings.warn(
-                "passing create to TraceStore() positionally is "
-                "deprecated; use TraceStore(root, create=...)",
-                DeprecationWarning, stacklevel=2)
-            create = args[0]
+    def __init__(self, root: Union[str, Path], *,
+                 create: bool = True) -> None:
         self.root = Path(root)
         manifest_exists = (self.root / "manifest.json").exists()
         if not create and not manifest_exists:
@@ -117,8 +106,6 @@ class TraceStore:
         self.manifest_path = self.root / "manifest.json"
         self.journal_path = self.root / "manifest.journal"
         self.quarantine_dir = self.root / "quarantine"
-        #: journaled deltas (default) vs legacy rewrite-manifest-per-put
-        self.journal_enabled = journal
         #: write-amplification accounting: full manifest.json rewrites and
         #: journal delta lines appended (the service benchmark reads these)
         self.manifest_saves = 0
@@ -126,7 +113,6 @@ class TraceStore:
         self._lock = FileLock(self.root / "manifest.lock")
         self._batch_depth = 0
         self._pending_records: List[Dict] = []
-        self._dirty = False
         self._entries: Dict[str, Entry] = {}
         if manifest_exists:
             self._load_manifest()
@@ -227,27 +213,12 @@ class TraceStore:
 
     def _record(self, record: Dict) -> None:
         """Queue one manifest delta; flush immediately outside a batch."""
-        if not self.journal_enabled:
-            # legacy write path: every mutation rewrites the whole
-            # manifest (kept as the benchmark baseline and a fallback)
-            if self._batch_depth == 0:
-                with self._lock:
-                    self._save_manifest()
-            else:
-                self._dirty = True
-            return
         self._pending_records.append(record)
         if self._batch_depth == 0:
             self._flush_journal()
 
     def _flush_journal(self) -> None:
         """Durably append every pending delta in one locked write."""
-        if not self.journal_enabled:
-            if self._dirty:
-                with self._lock:
-                    self._save_manifest()
-                self._dirty = False
-            return
         if not self._pending_records:
             return
         lines = b"".join(

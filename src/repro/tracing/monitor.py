@@ -2,10 +2,11 @@
 
 Per §V-C of the paper, the monitor identifies warps by the pair
 *(block id, warp id)* — warp ids alone are only unique within a block — and
-maintains each warp's trace context.  Basic-block and memory events are
-folded straight into the current invocation's
-:class:`~repro.adcfg.builder.ADCFGBuilder`, so per-thread data never
-accumulates.
+maintains each warp's trace context.  Basic-block events are folded
+straight into the current invocation's
+:class:`~repro.adcfg.builder.ADCFGBuilder` and each warp's columnar memory
+batch is buffered there for one kernel-wide fold at the launch's end, so
+per-thread data never accumulates.
 """
 
 from __future__ import annotations
@@ -14,25 +15,17 @@ from time import perf_counter
 from typing import List, Optional
 
 from repro import profiling
-from repro.adcfg.builder import (
-    ADCFGBuilder,
-    BatchNormalizer,
-    KeyIdNormalizer,
-    Normalizer,
-)
+from repro.adcfg.builder import ADCFGBuilder, BatchNormalizer, KeyIdNormalizer
 from repro.adcfg.graph import ADCFG
 from repro.errors import TraceError
 from repro.gpusim.events import (
     BasicBlockEvent,
     KernelBeginEvent,
     KernelEndEvent,
-    MemoryAccessEvent,
     MemoryBatchEvent,
     SyncEvent,
     TraceEvent,
 )
-from repro.resilience import events as resilience_events
-from repro.resilience import faults as fault_injection
 
 
 class MonitorError(TraceError):
@@ -48,10 +41,8 @@ class WarpTraceMonitor:
     records with NVBit's device stream.
     """
 
-    def __init__(self, normalizer: Optional[Normalizer] = None,
-                 batch_normalizer: Optional[BatchNormalizer] = None,
+    def __init__(self, batch_normalizer: Optional[BatchNormalizer] = None,
                  key_id_normalizer: Optional[KeyIdNormalizer] = None) -> None:
-        self._normalizer = normalizer
         self._batch_normalizer = batch_normalizer
         self._key_id_normalizer = key_id_normalizer
         self._pending_identity: Optional[str] = None
@@ -85,57 +76,12 @@ class WarpTraceMonitor:
             self._end(event)
         elif isinstance(event, BasicBlockEvent):
             self._require_builder().on_basic_block(event)
-        elif isinstance(event, MemoryAccessEvent):
-            self._require_builder().on_memory_access(event)
         elif isinstance(event, MemoryBatchEvent):
-            self._fold_batch(event)
+            self._require_builder().on_memory_batch(event)
         elif isinstance(event, SyncEvent):
             self.sync_events += 1
         else:
             raise MonitorError(f"unknown trace event {event!r}")
-
-    def _fold_batch(self, event: MemoryBatchEvent) -> None:
-        """Accept a columnar batch, downgrading to per-event replay on fault.
-
-        Healthy batches are buffered on the builder and folded kernel-wide
-        at :meth:`_end`.  An injected ``batch_fold_error`` degrades this
-        batch immediately: the object path (``iter_events`` through
-        ``on_memory_access``) is proven identical to the batched fold, so
-        the fault costs speed, never correctness — the columnar → object
-        rung of the degradation ladder.
-        """
-        builder = self._require_builder()
-        kernel_name = builder.graph.kernel_name
-        fault = fault_injection.batch_fold_fault_for(kernel_name)
-        if fault is None:
-            builder.on_memory_batch(event)
-            return
-        reason = (f"injected batch-fold failure for kernel "
-                  f"{kernel_name!r} ({fault.render()})")
-        resilience_events.record_degradation(
-            resilience_events.COLUMNAR_TO_OBJECT, "monitor", reason,
-            kernel=kernel_name, block=event.block_id, warp=event.warp_id)
-        for item in event.iter_events():
-            builder.on_memory_access(item)
-
-    def _flush_batches(self, builder: ADCFGBuilder) -> None:
-        """Run the kernel-wide fold, downgrading to per-event replay on error.
-
-        The vectorised fold fails before the graph is touched (packing,
-        sorting and normaliser errors all precede mutation), so the replay
-        below starts from a clean slate and produces the identical graph.
-        """
-        try:
-            builder.fold_pending_batches()
-        except MonitorError:
-            raise
-        except Exception as error:
-            resilience_events.record_degradation(
-                resilience_events.COLUMNAR_TO_OBJECT, "monitor", str(error),
-                kernel=builder.graph.kernel_name)
-            for batch in builder.take_pending_batches():
-                for item in batch.iter_events():
-                    builder.on_memory_access(item)
 
     def _begin(self, event: KernelBeginEvent) -> None:
         if self._builder is not None:
@@ -147,7 +93,6 @@ class WarpTraceMonitor:
         self._builder = ADCFGBuilder(
             kernel_identity=identity, kernel_name=event.kernel_name,
             total_threads=event.total_threads, num_warps=event.num_warps,
-            normalizer=self._normalizer,
             batch_normalizer=self._batch_normalizer,
             key_id_normalizer=self._key_id_normalizer)
 
@@ -157,7 +102,6 @@ class WarpTraceMonitor:
             raise MonitorError(
                 f"kernel end for {event.kernel_name!r} does not match the "
                 f"active launch {builder.graph.kernel_name!r}")
-        self._flush_batches(builder)
         self.completed.append(builder.finish())
         self._builder = None
 

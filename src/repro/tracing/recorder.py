@@ -170,39 +170,31 @@ class TraceRecorder:
     traces (asserted in the tests); buffered mode additionally exercises
     the transport's ordering guarantees.
 
-    ``columnar=True`` (the default) uses the columnar fast path: warps
-    buffer memory accesses and ship one
-    :class:`~repro.gpusim.events.MemoryBatchEvent` per warp through the
-    channel, addresses are normalised with one vectorised ``searchsorted``
-    per instruction, and the A-DCFG is folded in bulk.  ``columnar=False``
-    keeps the per-event object pipeline as the reference implementation;
-    both produce byte-identical :class:`ProgramTrace` signatures (asserted
-    in the tests, in every combination with buffering, schedule shuffling,
-    and ASLR).
+    Warps buffer their memory accesses and ship one
+    :class:`~repro.gpusim.events.MemoryBatchEvent` each through the
+    channel; addresses are normalised to interned key ids in one
+    vectorised pass and the A-DCFG is folded in bulk per kernel.
 
     ``cohort=True`` (the default) executes every warp of a launch in one
     NumPy pass over a ``(num_warps, 32)`` lane grid
     (:mod:`repro.gpusim.cohort`) and replays the identical per-warp event
-    streams at retirement; ``cohort=False`` keeps the per-warp execution
-    loop as the reference.  Traces are byte-identical either way (asserted
-    across all bundled workloads).
+    streams at retirement.  ``cohort=False`` runs the per-warp execution
+    loop: the semantic oracle the tests and the golden-digest generator
+    check the cohort and replica engines against.
     """
 
     def __init__(self, device_config: Optional[DeviceConfig] = None,
-                 buffered: bool = False, columnar: bool = True,
-                 cohort: bool = True) -> None:
+                 buffered: bool = False, cohort: bool = True) -> None:
         self._device_config = device_config or DeviceConfig()
         self._buffered = buffered
-        self._columnar = columnar
         self._cohort = cohort
 
     def record(self, program: Program, value: object) -> ProgramTrace:
         """Execute ``program(rt, value)`` under full instrumentation."""
-        device = Device(self._device_config, columnar=self._columnar,
+        device = Device(self._device_config, columnar=True,
                         cohort=self._cohort)
         tracer = _SessionTracer(device.memory)
         monitor = WarpTraceMonitor(
-            normalizer=lambda addr: tracer.normalize(addr).as_key(),
             batch_normalizer=tracer.normalize_keys,
             key_id_normalizer=tracer.normalize_key_ids)
 

@@ -160,9 +160,9 @@ class _ReplicaDevice(Device):
     serial path raises and the device RNG stream matches serial runs.
     """
 
-    def __init__(self, session: "_ReplicaSession", config: DeviceConfig,
-                 columnar: bool, cohort: bool) -> None:
-        super().__init__(config, columnar=columnar, cohort=cohort)
+    def __init__(self, session: "_ReplicaSession",
+                 config: DeviceConfig) -> None:
+        super().__init__(config, columnar=True, cohort=True)
         self._session = session
 
     def launch(self, kern: Kernel, grid, block, *args) -> None:
@@ -204,13 +204,12 @@ class _ReplicaSession:
     """
 
     def __init__(self, program: Program, value: object,
-                 config: DeviceConfig, columnar: bool, cohort: bool) -> None:
+                 config: DeviceConfig) -> None:
         self.value = value
         self._program = program
-        self.device = _ReplicaDevice(self, config, columnar, cohort)
+        self.device = _ReplicaDevice(self, config)
         self.tracer = _SessionTracer(self.device.memory)
         self.monitor = WarpTraceMonitor(
-            normalizer=lambda addr: self.tracer.normalize(addr).as_key(),
             batch_normalizer=self.tracer.normalize_keys,
             key_id_normalizer=self.tracer.normalize_key_ids)
         self._channel = Channel(sink=self.monitor.on_event)
@@ -314,17 +313,13 @@ def _alias_pattern(args: tuple) -> tuple:
 class _ReplicaCohortEngine:
     """Runs several replica sessions, fusing compatible parked launches."""
 
-    def __init__(self, config: DeviceConfig, columnar: bool,
-                 cohort: bool) -> None:
+    def __init__(self, config: DeviceConfig) -> None:
         self._config = config
-        self._columnar = columnar
-        self._cohort = cohort
         self.stats = ReplicaStats()
 
     def record_batch(self, program: Program,
                      values: Sequence[object]) -> List[ProgramTrace]:
-        sessions = [_ReplicaSession(program, value, self._config,
-                                    self._columnar, self._cohort)
+        sessions = [_ReplicaSession(program, value, self._config)
                     for value in values]
         try:
             self._drive(sessions)
@@ -404,7 +399,7 @@ class _ReplicaCohortEngine:
     def _execute_group(self, group: List["_ReplicaSession"]) -> None:
         pending = group[0].pending
         kern = pending.kern
-        fusible = (len(group) > 1 and self._cohort and kern.cohort
+        fusible = (len(group) > 1 and kern.cohort
                    and len(group) * pending.launch.total_warps > 1)
         if fusible:
             for session in group:
@@ -539,7 +534,7 @@ class _ReplicaCohortEngine:
                 ctx = CohortContext(
                     launch=launch, rows=rows, block_ids=block_ids[rows],
                     warp_ids=warp_ids[rows], shared_alloc=shared_alloc,
-                    columnar=self._columnar, journal=journal,
+                    columnar=True, journal=journal,
                     step_budget=self._config.cohort_step_budget,
                     replica_slots=slots[rows])
                 try:
@@ -595,8 +590,7 @@ class _ReplicaCohortEngine:
 
 def record_grouped(
         program: Program, values: Sequence[object],
-        device_config: Optional[DeviceConfig] = None,
-        columnar: bool = True, cohort: bool = True, dedup: bool = False,
+        device_config: Optional[DeviceConfig] = None, dedup: bool = False,
 ) -> Tuple[List[Tuple[ProgramTrace, int]], ReplicaStats]:
     """Record *values* as one replica batch.
 
@@ -620,11 +614,11 @@ def record_grouped(
     stats = ReplicaStats(dedup_runs=len(values) - len(reps))
 
     if len(reps) < 2:
-        recorder = TraceRecorder(config, columnar=columnar, cohort=cohort)
-        traces = [recorder.record(program, value) for value in reps]
+        traces = [TraceRecorder(config).record(program, value)
+                  for value in reps]
         return list(zip(traces, counts)), stats
 
-    engine = _ReplicaCohortEngine(config, columnar, cohort)
+    engine = _ReplicaCohortEngine(config)
     try:
         traces = engine.record_batch(program, reps)
     except _BatchAbandoned as abandoned:
@@ -632,7 +626,7 @@ def record_grouped(
             resilience_events.REPLICA_TO_RUN, "replica",
             f"replica batch abandoned, re-recording serially: {abandoned}",
             runs=len(reps))
-        recorder = TraceRecorder(config, columnar=columnar, cohort=cohort)
+        recorder = TraceRecorder(config)
         traces = [recorder.record(program, value) for value in reps]
         return list(zip(traces, counts)), stats
     stats.merge(engine.stats)

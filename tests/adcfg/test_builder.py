@@ -1,8 +1,10 @@
 """Folding warp event streams into one A-DCFG."""
 
+import numpy as np
+
 from repro.adcfg.builder import ADCFGBuilder, identity_normalizer
 from repro.adcfg.graph import END_LABEL, START_LABEL
-from repro.gpusim.events import BasicBlockEvent, MemoryAccessEvent
+from repro.gpusim.events import BasicBlockEvent, MemoryBatchEvent
 from repro.gpusim.memory import MemorySpace
 
 
@@ -13,10 +15,16 @@ def bb(label, warp_id=0, block_id=0, visit=0, lanes=32):
 
 def mem(label, addresses, instr=0, visit=0, warp_id=0, block_id=0,
         is_store=False):
-    return MemoryAccessEvent(block_id=block_id, warp_id=warp_id, label=label,
-                             visit=visit, instr=instr,
-                             space=MemorySpace.GLOBAL, is_store=is_store,
-                             addresses=tuple(addresses))
+    """One memory instruction as a single-row columnar batch."""
+    return MemoryBatchEvent(
+        block_id=block_id, warp_id=warp_id, labels=(label,),
+        label_ids=np.zeros(1, dtype=np.int32),
+        visits=np.array([visit], dtype=np.int32),
+        instrs=np.array([instr], dtype=np.int32),
+        spaces=np.array([MemorySpace.GLOBAL.value], dtype=np.uint8),
+        is_stores=np.array([is_store]),
+        addresses=np.asarray(addresses, dtype=np.int64),
+        extents=np.array([0, len(addresses)], dtype=np.int64))
 
 
 def build(events, **kwargs):
@@ -25,7 +33,7 @@ def build(events, **kwargs):
         if isinstance(event, BasicBlockEvent):
             builder.on_basic_block(event)
         else:
-            builder.on_memory_access(event)
+            builder.on_memory_batch(event)
     return builder.finish()
 
 
@@ -114,12 +122,13 @@ class TestMemoryFolding:
     def test_custom_normalizer(self):
         graph = build(
             [bb("a"), mem("a", [1000, 1016])],
-            normalizer=lambda addr: ("data", addr - 1000))
+            batch_normalizer=lambda addrs: [("data", addr - 1000)
+                                            for addr in addrs.tolist()])
         record = graph.nodes["a"].visits[0][0]
         assert record.counts == {("data", 0): 1, ("data", 16): 1}
 
     def test_identity_normalizer(self):
-        assert identity_normalizer(42) == ("<raw>", 42)
+        assert identity_normalizer(np.array([42])) == [("<raw>", 42)]
 
     def test_store_flag_preserved(self):
         graph = build([bb("a"), mem("a", [100], is_store=True)])

@@ -3,8 +3,8 @@
 One shared evidence pass feeds both detectors, so the KS component of a
 ``both`` run must be *byte-for-byte* the report a plain ``analyzer="ks"``
 run produces — cold, warm (store-backed), and across the recording-engine
-matrix (workers × columnar × cohort).  The MI component likewise matches
-a plain ``analyzer="mi"`` run.
+matrix (per-warp reference pool, workers).  The MI component likewise
+matches a plain ``analyzer="mi"`` run.
 """
 
 import pytest
@@ -13,14 +13,17 @@ from repro.analysis import ks_view, mi_view
 from repro.cli import _workloads
 from repro.core.pipeline import Owl, OwlConfig
 from repro.store import TraceStore
+from tests.golden.goldens import ReferencePool
 
 TINY = dict(fixed_runs=4, random_runs=4, seed=11, always_analyze=True)
 
 
-def run_detection(workload, store=None, **overrides):
+def run_detection(workload, store=None, reference=False, **overrides):
     program, fixed_inputs, random_input = _workloads()[workload]
     config = OwlConfig(**{**TINY, **overrides})
     owl = Owl(program, name=workload, config=config)
+    if reference:
+        owl.pool = ReferencePool(program, owl.device_config)
     return owl.detect(inputs=fixed_inputs(), random_input=random_input,
                       store=store)
 
@@ -43,28 +46,23 @@ class TestBothEqualsEach:
                                 "ks_report", "mi_report"}
 
     def test_scalar_fallback_keeps_identity(self):
-        """vectorized=False forces the per-analyzer traversal; the
-        identity must hold through that fallback too."""
-        both = run_detection("aes", analyzer="both",
-                             vectorized=False).report
-        ks = run_detection("aes", analyzer="ks", vectorized=False).report
+        """The Welch ablation cannot defer its tests, which forces the
+        per-analyzer traversal; the identity must hold there too."""
+        both = run_detection("aes", analyzer="both", test="welch").report
+        ks = run_detection("aes", analyzer="ks", test="welch").report
         assert ks_view(both).to_json() == ks.to_json()
 
 
 class TestEngineMatrix:
     @pytest.mark.parametrize("workload", ["dummy", "aes"])
     def test_both_stable_across_recording_configs(self, workload):
-        reference = run_detection(workload, analyzer="both", workers=1,
-                                  columnar=False, cohort=False) \
-            .report.to_json()
+        reference = run_detection(workload, analyzer="both",
+                                  reference=True).report.to_json()
         for workers in (1, 2):
-            for columnar in (False, True):
-                report = run_detection(workload, analyzer="both",
-                                       workers=workers, columnar=columnar,
-                                       cohort=True).report.to_json()
-                assert report == reference, (
-                    f"{workload}: both(workers={workers}, "
-                    f"columnar={columnar}, cohort) diverged")
+            report = run_detection(workload, analyzer="both",
+                                   workers=workers).report.to_json()
+            assert report == reference, (
+                f"{workload}: both(workers={workers}) diverged")
 
 
 class TestWarmColdIdentity:

@@ -3,7 +3,7 @@
 Mirrors the KS suite in ``tests/core/test_leakage.py``: the MI analyzer
 consumes the same evidence, so the planted data-flow and control-flow
 leaks must surface with positive ``mi_bits`` and ``analyzer="mi"``
-metadata, and the scalar fallback must agree with the vectorized fold.
+metadata.
 """
 
 import numpy as np
@@ -142,14 +142,6 @@ class TestKernelLeak:
 
 
 class TestConfig:
-    def test_scalar_fallback_matches_vectorized(self):
-        fixed, random = evidences(make_program("df"), fixed_value=3)
-        vectorized = MIAnalyzer(LeakageConfig(vectorized=True)) \
-            .analyze(fixed, random)
-        scalar = MIAnalyzer(LeakageConfig(vectorized=False)) \
-            .analyze(fixed, random)
-        assert scalar.to_json() == vectorized.to_json()
-
     def test_min_bits_floor_filters_leaks(self):
         fixed, random = evidences(make_program("df"), fixed_value=3)
         open_report = MIAnalyzer(LeakageConfig(mi_min_bits=0.0)) \

@@ -3,7 +3,8 @@
 The contract under test: an ``adaptive=True`` detection flags the same
 leak set as the full-budget run, stops early when every location is
 decisive, spends its alpha through the O'Brien–Fleming-style schedule,
-stays bit-identical across every parallel/columnar/cohort knob, and
+stays bit-identical across the worker pool, replica deduplication and
+the cohort → warp fallback, and
 resumes through the store's checkpoint path to the identical report.
 """
 
@@ -156,10 +157,6 @@ class TestRoundSchedule:
 # ----------------------------------------------------------------------
 
 class TestAdaptiveConfig:
-    def test_requires_the_deferred_vectorized_path(self):
-        with pytest.raises(ConfigError, match="adaptive"):
-            OwlConfig(adaptive=True, vectorized=False)
-
     def test_requires_the_ks_distribution_test(self):
         with pytest.raises(ConfigError, match="adaptive"):
             OwlConfig(adaptive=True, test="welch")
@@ -221,10 +218,10 @@ class TestAdaptiveDetect:
 
     @pytest.mark.parametrize("overrides", [
         {"workers": 2},
-        {"columnar": False},
-        {"cohort": False},
-        {"replica_batch": True},
-        {"workers": 2, "replica_batch": True, "columnar": False},
+        {"replica_dedup": True},
+        {"cohort_step_budget": 1},
+        {"workers": 3},
+        {"workers": 2, "replica_dedup": True, "cohort_step_budget": 1},
     ])
     def test_bit_identical_across_parallelism_knobs(self, overrides):
         reference = detect(df_program, adaptive=True)

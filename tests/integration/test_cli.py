@@ -1,5 +1,7 @@
 """The owl-detect command-line interface."""
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -53,16 +55,28 @@ class TestExecution:
 
 class TestCohortFlag:
     def test_cohort_defaults_on(self):
-        args = build_parser().parse_args(["aes"])
-        assert not args.no_cohort
+        """The cohort engine is always on: the retired engine flags are
+        usage errors, not options."""
+        build_parser().parse_args(["aes"])
+        for flag in ("--no-cohort", "--no-columnar", "--no-replica-batch"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["aes", flag])
 
     def test_no_cohort_verdict_identical(self, capsys):
-        """The per-warp reference loop reaches the same verdict and prints
-        the same report as the default cohort engine."""
-        argv = ["rsa", "--fixed-runs", "8", "--random-runs", "8", "--json"]
-        cohort_code = main(argv)
-        cohort_out = capsys.readouterr().out
-        reference_code = main(argv + ["--no-cohort"])
-        reference_out = capsys.readouterr().out
-        assert cohort_code == reference_code
-        assert cohort_out == reference_out
+        """The per-warp reference recorder reaches the same verdict and
+        report as the CLI's cohort engine."""
+        from repro.cli import _workloads
+        from repro.core import Owl, OwlConfig
+        from tests.golden.goldens import ReferencePool
+
+        code = main(["rsa", "--fixed-runs", "8", "--random-runs", "8",
+                     "--json"])
+        cli_report = json.loads(capsys.readouterr().out)
+        program, fixed_inputs, random_input = _workloads()["rsa"]
+        owl = Owl(program, name="rsa",
+                  config=OwlConfig(fixed_runs=8, random_runs=8))
+        owl.pool = ReferencePool(program, owl.device_config)
+        reference = owl.detect(inputs=fixed_inputs(),
+                               random_input=random_input).report
+        assert code == (1 if reference.has_leaks else 0)
+        assert cli_report == json.loads(reference.to_json())

@@ -163,15 +163,6 @@ class TestExitCodes:
                 pass
             thread.join(timeout=30)
 
-    def test_deprecated_socket_flag_still_works_with_a_hint(
-            self, service, capsys):
-        url, _client, _scheduler = service
-        path = url[len("unix://"):]
-        assert cli_main(["status", "--socket", path]) == 0
-        captured = capsys.readouterr()
-        assert "deprecated" in captured.err
-        assert "--connect unix://" in captured.err
-
 
 class TestAuthAndQuotaExitCodes:
     @pytest.fixture

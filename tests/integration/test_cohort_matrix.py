@@ -1,23 +1,27 @@
-"""Detection verdicts across the full recording-engine matrix.
+"""Detection verdicts across the recording-engine matrix.
 
-The cohort engine composes with the columnar transport and the parallel
+The cohort engine composes with replica batching and the parallel
 recording pool; every combination must produce the exact report of the
-serial per-warp per-event reference, because all three are pure recording
-optimisations with byte-identical traces.
+per-warp, per-run reference pool (:class:`tests.golden.goldens.
+ReferencePool`), because all of them are pure recording optimisations
+with byte-identical traces.
 """
 
 import pytest
 
 from repro.cli import _workloads
 from repro.core.pipeline import Owl, OwlConfig
+from tests.golden.goldens import ReferencePool
 
 TINY = dict(fixed_runs=4, random_runs=4, seed=11, always_analyze=True)
 
 
-def run_detection(workload, **overrides):
+def run_detection(workload, reference=False, **overrides):
     program, fixed_inputs, random_input = _workloads()[workload]
     config = OwlConfig(**{**TINY, **overrides})
     owl = Owl(program, name=workload, config=config)
+    if reference:
+        owl.pool = ReferencePool(program, owl.device_config)
     result = owl.detect(inputs=fixed_inputs(), random_input=random_input)
     return result.report.to_json()
 
@@ -25,21 +29,8 @@ def run_detection(workload, **overrides):
 class TestEngineMatrix:
     @pytest.mark.parametrize("workload", ["dummy", "rsa", "aes"])
     def test_cohort_matrix_matches_reference(self, workload):
-        reference = run_detection(workload, cohort=False, columnar=False,
-                                  workers=1)
-        for columnar in (False, True):
-            for workers in (1, 2):
-                report = run_detection(workload, cohort=True,
-                                       columnar=columnar, workers=workers)
-                assert report == reference, (
-                    f"{workload}: cohort(columnar={columnar}, "
-                    f"workers={workers}) diverged from reference")
-
-    @pytest.mark.parametrize("workload", ["dummy", "rsa"])
-    def test_no_cohort_parallel_columnar_unchanged(self, workload):
-        """The satellite paths still agree with cohort disabled."""
-        reference = run_detection(workload, cohort=False, columnar=False,
-                                  workers=1)
-        report = run_detection(workload, cohort=False, columnar=True,
-                               workers=2)
-        assert report == reference
+        reference = run_detection(workload, reference=True)
+        for workers in (1, 2):
+            report = run_detection(workload, workers=workers)
+            assert report == reference, (
+                f"{workload}: workers={workers} diverged from reference")

@@ -14,8 +14,8 @@ from repro.errors import WorkerError
 from repro.resilience.events import (
     CHUNK_TIMEOUT,
     COHORT_TO_WARP,
-    COLUMNAR_TO_OBJECT,
     POOL_RETRY,
+    REPLICA_TO_RUN,
     STORE_QUARANTINE,
 )
 from repro.store import TraceStore, incomplete_campaigns
@@ -51,8 +51,8 @@ class TestFaultMatrix:
                      CHUNK_TIMEOUT, id="chunk_timeout"),
         pytest.param("cohort_violation", dict(), COHORT_TO_WARP,
                      id="cohort_violation"),
-        pytest.param("batch_fold_error", dict(), COLUMNAR_TO_OBJECT,
-                     id="batch_fold_error"),
+        pytest.param("replica_violation", dict(), REPLICA_TO_RUN,
+                     id="replica_violation"),
     ]
 
     @pytest.mark.parametrize("plan, overrides, expected_kind", CASES)
@@ -89,11 +89,11 @@ class TestResumeAfterFault:
     """A worker crash with degradation forbidden interrupts the campaign;
     a clean rerun resumes from the stored work to identical bytes."""
 
-    def crash_campaign(self, store_dir, cohort=True):
+    def crash_campaign(self, store_dir):
         program, fixed_inputs, random_input = _workloads()["dummy"]
         config = OwlConfig(
             fixed_runs=4, random_runs=4, seed=11,
-            workers=3, store_checkpoint_every=3, cohort=cohort,
+            workers=3, store_checkpoint_every=3,
             fault_plan="worker_crash:chunk=2:attempts=99",
             retry={**FAST_RETRY, "max_attempts": 2,
                    "degrade_to_serial": False},
@@ -109,25 +109,29 @@ class TestResumeAfterFault:
         return program, fixed_inputs, random_input
 
     @pytest.mark.parametrize("resume_workers", [1, 2])
-    @pytest.mark.parametrize("cohort", [True, False])
-    def test_resume_matrix_bit_identical(self, resume_workers, cohort,
-                                         tmp_path):
-        program, fixed_inputs, random_input = self.crash_campaign(
-            tmp_path / "s", cohort=cohort)
-
-        reference = Owl(program, name="dummy",
-                        config=OwlConfig(**TINY)).detect(
-            inputs=fixed_inputs(), random_input=random_input)
-
+    @pytest.mark.parametrize("retired_keys", [True, False])
+    def test_resume_matrix_bit_identical(self, resume_workers, retired_keys,
+                                         tmp_path, capsys):
+        """``owl resume`` finishes the crashed campaign from its stored
+        config — also one written when OwlConfig still had the retired
+        engine-selection fields, which resume ignores."""
+        self.crash_campaign(tmp_path / "s")
         store = TraceStore(tmp_path / "s")
-        assert len(incomplete_campaigns(store)) == 1
-        resumed = Owl(program, name="dummy",
-                      config=OwlConfig(workers=resume_workers,
-                                       cohort=cohort, **TINY)).detect(
-            inputs=fixed_inputs(), random_input=random_input,
-            store=store)
-        assert resumed.stats.cached_traces > 0  # pre-crash work survived
-        assert resumed.report.to_json() == reference.report.to_json()
+        [entry] = incomplete_campaigns(store)
+        body = store.get_json(entry.key)
+        body["config"]["workers"] = resume_workers
+        if retired_keys:
+            body["config"].update(vectorized=False, columnar=False,
+                                  cohort=False, replica_batch=False)
+        store.put_json(entry.key, "campaign", body, meta=entry.meta)
+
+        assert main(["resume", "--store", str(tmp_path / "s"),
+                     "--json"]) == 1
+        out = capsys.readouterr().out
+        assert "resumed dummy: reused 2 traces" in out  # pre-crash work
+        reference = run_detection(workers=1)
+        assert json.loads(out[out.index("{"):]) == json.loads(
+            reference.report.to_json())
         assert incomplete_campaigns(TraceStore(tmp_path / "s")) == []
 
     def test_cli_resume_strips_the_fault_plan(self, tmp_path, capsys):
@@ -156,7 +160,7 @@ class TestCLIFaultMatrix:
         assert main(["dummy", *self.RUN_ARGS, "--json"]) == 1
         reference = capsys.readouterr().out
         assert main(["dummy", *self.RUN_ARGS, "--json",
-                     "--inject", "cohort_violation,batch_fold_error"]) == 1
+                     "--inject", "cohort_violation,replica_violation"]) == 1
         injected = capsys.readouterr().out
         assert injected == reference
 

@@ -1,5 +1,6 @@
-"""The redesigned public surface: keyword-only APIs with deprecation
-shims, config coercion, and fingerprint neutrality of resilience knobs."""
+"""The public surface: keyword-only APIs, config coercion (including
+stored configs that carry retired fields), and fingerprint neutrality of
+resilience knobs."""
 
 import dataclasses
 import json
@@ -33,27 +34,9 @@ class TestDetectKeywordOnly:
         assert not [w for w in recwarn.list
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_positional_random_input_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="random_input"):
-            result = make_owl().detect([dummy.fixed_input()],
-                                       dummy.random_input)
-        assert result.report is not None
-
-    def test_positional_store_warns_and_maps(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            result = make_owl().detect([dummy.fixed_input()],
-                                       dummy.random_input,
-                                       TraceStore(tmp_path / "s"))
-        assert result.report is not None
-        assert len(TraceStore(tmp_path / "s")) > 0
-
-    def test_positional_and_keyword_shims_agree(self, tmp_path):
-        with pytest.warns(DeprecationWarning):
-            legacy = make_owl().detect([dummy.fixed_input()],
-                                       dummy.random_input)
-        modern = make_owl().detect(inputs=[dummy.fixed_input()],
-                                   random_input=dummy.random_input)
-        assert legacy.report.to_json() == modern.report.to_json()
+    def test_positional_random_input_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            make_owl().detect([dummy.fixed_input()], dummy.random_input)
 
     def test_missing_random_input_is_a_type_error(self):
         with pytest.raises(TypeError, match="random_input"):
@@ -66,8 +49,8 @@ class TestDetectKeywordOnly:
 
 
 class TestTraceStoreKeywordOnly:
-    def test_positional_create_warns(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="create"):
+    def test_positional_create_is_a_type_error(self, tmp_path):
+        with pytest.raises(TypeError):
             TraceStore(tmp_path / "s", True)
 
     def test_keyword_create_is_warning_free(self, tmp_path, recwarn):
@@ -81,6 +64,24 @@ class TestTraceStoreKeywordOnly:
 
 
 class TestConfigCoercion:
+    RETIRED = dict(vectorized=False, columnar=False, cohort=False,
+                   replica_batch=False)
+
+    def test_stored_config_drops_retired_fields(self):
+        """A manifest or queued unit written when OwlConfig still had the
+        engine-selection fields rebuilds to the current config."""
+        data = dict(dataclasses.asdict(OwlConfig(**TINY)), **self.RETIRED)
+        assert OwlConfig.from_dict(data) == OwlConfig(**TINY)
+
+    @pytest.mark.parametrize("key", sorted(RETIRED))
+    def test_client_config_naming_a_retired_field_is_rejected(self, key):
+        with pytest.raises(ConfigError, match=repr(key)):
+            OwlConfig.from_dict({key: False}, stored=False)
+
+    def test_unknown_stored_field_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="'bogus'"):
+            OwlConfig.from_dict({"bogus": 1})
+
     def test_retry_dict_coerced_to_policy(self):
         config = OwlConfig(retry={"max_attempts": 5})
         assert isinstance(config.retry, RetryPolicy)

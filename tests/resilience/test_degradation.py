@@ -1,7 +1,7 @@
 """Graceful degradation: every fallback rung is bit-identical to health.
 
-cohort -> per-warp (envelope violation or step budget), columnar -> object
-(batch-fold failure).  Each injected fault must leave the recorded trace
+cohort -> per-warp (envelope violation or step budget), replica -> run
+(fusion violation).  Each injected fault must leave the recorded trace
 byte-identical to a fault-free run and leave a structured event behind.
 """
 
@@ -13,21 +13,28 @@ from repro.gpusim import DeviceConfig
 from repro.resilience import FaultPlan
 from repro.resilience.events import (
     COHORT_TO_WARP,
-    COLUMNAR_TO_OBJECT,
+    REPLICA_TO_RUN,
     collecting_degradations,
 )
 from repro.resilience.faults import activated
 from repro.tracing.recorder import TraceRecorder
+from repro.tracing.replica import record_grouped
 
 
-def record(program, value, plan=None, device_config=None, columnar=True,
-           cohort=True):
-    recorder = TraceRecorder(device_config=device_config, columnar=columnar,
-                             cohort=cohort)
+def record(program, value, plan=None, device_config=None):
+    recorder = TraceRecorder(device_config=device_config)
     with activated(plan):
         with collecting_degradations() as log:
             trace = recorder.record(program, value)
     return trace, log
+
+
+def record_replicas(program, values, plan):
+    """*values* as one replica batch under *plan*: the traces, expanded."""
+    with activated(plan):
+        with collecting_degradations() as log:
+            groups, _stats = record_grouped(program, values)
+    return [trace for trace, count in groups for _ in range(count)], log
 
 
 WORKLOADS = [
@@ -70,39 +77,24 @@ class TestCohortToWarp:
         assert len(log) == 0
 
 
-class TestColumnarToObject:
-    @pytest.mark.parametrize("program, value", WORKLOADS)
-    def test_batch_fold_failure_replays_per_event(self, program, value):
-        healthy, _ = record(program, value)
-        plan = FaultPlan.parse("batch_fold_error")
-        degraded, log = record(program, value, plan=plan)
-        assert degraded.signature() == healthy.signature()
+class TestReplicaToRun:
+    def test_injected_violation_runs_replicas_singly(self):
+        values = [bytes(range(16)), bytes(range(1, 17))]
+        healthy = [record(aes_program, value)[0] for value in values]
+        degraded, log = record_replicas(aes_program, values,
+                                        FaultPlan.parse("replica_violation"))
         assert degraded == healthy
-        counts = log.counts_by_kind()
-        assert counts.get(COLUMNAR_TO_OBJECT, 0) >= 1
-
-    def test_fault_scoped_to_matching_kernel_only(self):
-        value = bytes(range(16))
-        plan = FaultPlan.parse("batch_fold_error:kernel=no_such_kernel")
-        _, log = record(aes_program, value, plan=plan)
-        assert log.counts_by_kind().get(COLUMNAR_TO_OBJECT) is None
-
-    def test_degraded_trace_matches_object_transport(self):
-        """The per-event replay must agree with the native object path."""
-        value = dummy.fixed_input()
-        object_path, _ = record(dummy.dummy_program, value, columnar=False)
-        plan = FaultPlan.parse("batch_fold_error")
-        degraded, _ = record(dummy.dummy_program, value, plan=plan)
-        assert degraded.signature() == object_path.signature()
+        assert log.counts_by_kind().get(REPLICA_TO_RUN, 0) >= 1
 
 
 class TestStackedFaults:
     def test_both_rungs_fire_and_the_trace_survives(self):
-        value = bytes(range(16))
-        healthy, _ = record(aes_program, value)
-        plan = FaultPlan.parse("cohort_violation,batch_fold_error")
-        degraded, log = record(aes_program, value, plan=plan)
-        assert degraded.signature() == healthy.signature()
+        values = [bytes(range(16)), bytes(range(1, 17))]
+        healthy = [record(aes_program, value)[0] for value in values]
+        plan = FaultPlan.parse("cohort_violation,replica_violation")
+        degraded, log = record_replicas(aes_program, values, plan)
+        assert [t.signature() for t in degraded] == \
+            [t.signature() for t in healthy]
         counts = log.counts_by_kind()
         assert counts.get(COHORT_TO_WARP, 0) >= 1
-        assert counts.get(COLUMNAR_TO_OBJECT, 0) >= 1
+        assert counts.get(REPLICA_TO_RUN, 0) >= 1

@@ -5,8 +5,8 @@ import pytest
 from repro.resilience import FaultError, FaultPlan, FaultSpec
 from repro.resilience.faults import (
     activated,
-    batch_fold_fault_for,
     cohort_violation_for,
+    replica_violation_for,
 )
 
 
@@ -89,7 +89,7 @@ class TestMatching:
 class TestActivation:
     def test_no_context_means_no_faults(self):
         assert cohort_violation_for(0) is None
-        assert batch_fold_fault_for("kern") is None
+        assert replica_violation_for(0) is None
 
     def test_activated_scopes_the_plan(self):
         plan = FaultPlan.parse("cohort_violation:launch=1")
@@ -102,11 +102,11 @@ class TestActivation:
         with activated(None):
             assert cohort_violation_for(0) is None
 
-    def test_batch_fold_matches_kernel_substring(self):
-        plan = FaultPlan.parse("batch_fold_error:kernel=sbox")
+    def test_replica_violation_matches_launch(self):
+        plan = FaultPlan.parse("replica_violation:launch=1")
         with activated(plan):
-            assert batch_fold_fault_for("sbox_lookup_kernel") is not None
-            assert batch_fold_fault_for("other_kernel") is None
+            assert replica_violation_for(1) is not None
+            assert replica_violation_for(0) is None
 
     def test_worker_directed_faults_skip_in_process_context(self):
         """worker_crash must never fire outside a real pool worker —

@@ -93,6 +93,18 @@ class TestRouting:
         assert status == 400
         assert payload["code"] == "bad_request"
 
+    @pytest.mark.parametrize("key", ["columnar", "cohort", "replica_batch",
+                                     "vectorized"])
+    def test_retired_config_key_is_400(self, http_service, key):
+        """A client naming a retired OwlConfig field is told which one."""
+        _client, _url, port, _scheduler = http_service
+        body = json.dumps({"workload": "dummy",
+                           "config": {key: False}}).encode()
+        status, payload = _raw(port, "POST", "/v1/campaigns", body=body)
+        assert status == 400
+        assert payload["code"] == "bad_request"
+        assert repr(key) in payload["error"]
+
     def test_non_http_garbage_does_not_kill_the_server(self, http_service):
         client, _url, port, _scheduler = http_service
         raw = socket.create_connection(("127.0.0.1", port), timeout=10)

@@ -7,9 +7,10 @@ import pytest
 from repro.apps.registry import resolve
 from repro.core.pipeline import Owl, OwlConfig
 from repro.errors import CampaignError
-from repro.service import CampaignScheduler, ServiceConfig
+from repro.service import CampaignScheduler, ServiceClient, ServiceConfig
 from repro.service import client
-from repro.service.server import parse_address, serve_forever
+from repro.service.address import parse_connect
+from repro.service.server import serve_forever
 
 TINY = dict(fixed_runs=4, random_runs=4, seed=21, store_checkpoint_every=2)
 
@@ -67,24 +68,27 @@ class TestProtocol:
 class TestSubmitToResults:
     def test_full_round_trip_matches_direct_detect(self, service, tmp_path):
         address, _scheduler = service
-        cid = client.submit(address, "dummy", TINY)
-        final = client.wait_for(address, cid, timeout=240)
-        assert final["stage"] == "complete"
-        results = client.results(address, cid)
+        service_client = ServiceClient(address)
+        cid = service_client.submit("dummy", config=TINY).campaign
+        final = service_client.wait_for(cid, timeout=240)
+        assert final.stage == "complete"
+        results = service_client.results(cid)
 
         program, fixed_inputs, random_input = resolve("dummy")
         owl = Owl(program, name="dummy", config=OwlConfig(**TINY))
         direct = owl.detect(fixed_inputs(), random_input=random_input,
                             store=tmp_path / "direct")
-        assert results["report_json"] == direct.report.to_json()
+        assert results.report_json == direct.report.to_json()
 
     def test_concurrent_tenants_coalesce(self, service):
         address, scheduler = service
-        cids = [client.submit(address, "dummy", TINY) for _ in range(3)]
+        service_client = ServiceClient(address)
+        cids = [service_client.submit("dummy", config=TINY).campaign
+                for _ in range(3)]
         for cid in cids:
-            assert client.wait_for(address, cid,
-                                   timeout=240)["stage"] == "complete"
-        reports = {client.results(address, cid)["report_json"]
+            assert service_client.wait_for(
+                cid, timeout=240).stage == "complete"
+        reports = {service_client.results(cid).report_json
                    for cid in cids}
         assert len(reports) == 1
         coalesced = [cid for cid in cids
@@ -93,17 +97,16 @@ class TestSubmitToResults:
 
     def test_status_lists_campaigns(self, service):
         address, _scheduler = service
-        cid = client.submit(address, "dummy", TINY)
-        client.wait_for(address, cid, timeout=240)
-        status = client.status(address)
-        assert cid in status["campaigns"]
-        one = client.status(address, cid)
-        assert one["stage"] == "complete"
+        service_client = ServiceClient(address)
+        cid = service_client.submit("dummy", config=TINY).campaign
+        service_client.wait_for(cid, timeout=240)
+        assert cid in service_client.overview().campaigns
+        assert service_client.status(cid).stage == "complete"
 
     def test_results_for_unknown_campaign_errors(self, service):
         address, _scheduler = service
         with pytest.raises(CampaignError):
-            client.results(address, "c9999")
+            ServiceClient(address).results("c9999")
 
 
 class TestShutdown:
@@ -124,9 +127,8 @@ class TestShutdown:
 
 class TestAddressParsing:
     def test_unix_default(self):
-        assert parse_address("/tmp/a.sock", None, None) == \
-            ("unix", "/tmp/a.sock")
+        assert parse_connect("/tmp/a.sock") == ("unix", "/tmp/a.sock")
 
     def test_tcp_when_port_given(self):
-        assert parse_address(None, "127.0.0.1", 7700) == \
+        assert parse_connect("tcp://127.0.0.1:7700") == \
             ("tcp", ("127.0.0.1", 7700))

@@ -107,7 +107,7 @@ class TestCoalescing:
     def test_identity_excludes_operational_knobs(self):
         base = OwlConfig(**TINY)
         assert campaign_identity("dummy", base) == campaign_identity(
-            "dummy", dataclasses.replace(base, workers=4, columnar=False))
+            "dummy", dataclasses.replace(base, workers=4, replica_dedup=True))
         assert campaign_identity("dummy", base) != campaign_identity(
             "dummy", dataclasses.replace(base, fixed_runs=7))
         assert campaign_identity("dummy", base) != campaign_identity(

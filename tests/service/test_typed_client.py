@@ -1,4 +1,4 @@
-"""The redesigned client API: typed results, URL connect, shims."""
+"""The client API: typed results, URL connect, module-level plumbing."""
 
 import dataclasses
 import threading
@@ -132,20 +132,12 @@ class TestTypedResults:
 
 
 class TestDeprecatedShims:
-    def test_dict_helpers_warn_and_delegate(self, service):
-        _client, url, _scheduler = service
-        address = parse_connect(url)
-        with pytest.warns(DeprecationWarning):
-            cid = client_module.submit(address, "dummy", TINY)
-        with pytest.warns(DeprecationWarning):
-            row = client_module.wait_for(address, cid, timeout=240)
-        assert row["stage"] == "complete"  # still the raw dict
-        with pytest.warns(DeprecationWarning):
-            status = client_module.status(address)
-        assert cid in status["campaigns"]
-        with pytest.warns(DeprecationWarning):
-            payload = client_module.results(address, cid)
-        assert payload["report_json"] is not None
+    """The dict-returning module helpers are gone; the liveness plumbing
+    helpers stay, warning-free."""
+
+    def test_dict_helpers_are_gone(self):
+        for name in ("submit", "status", "results", "wait_for"):
+            assert not hasattr(client_module, name)
 
     def test_plumbing_helpers_do_not_warn(self, service):
         _client, url, _scheduler = service

@@ -42,12 +42,6 @@ class TestJournalWriteAmplification:
             assert store.journal_appends == 0
         assert store.journal_appends == 10
 
-    def test_legacy_mode_rewrites_manifest_per_put(self, tmp_path):
-        store = TraceStore(tmp_path, journal=False)
-        baseline = store.manifest_saves
-        _fill(store, 10)
-        assert store.manifest_saves == baseline + 10
-
 
 class TestJournalReplay:
     def test_entries_visible_to_fresh_open(self, tmp_path):

@@ -7,14 +7,18 @@ import pytest
 from repro.cli import _workloads
 from repro.core.pipeline import Owl, OwlConfig
 from repro.store import TraceStore
+from tests.golden.goldens import ReferencePool
 
 TINY = dict(fixed_runs=4, random_runs=4, seed=11, store_checkpoint_every=2)
 
 
-def run_detection(workload, store=None, reuse_report=True, **overrides):
+def run_detection(workload, store=None, reuse_report=True, reference=False,
+                  **overrides):
     program, fixed_inputs, random_input = _workloads()[workload]
     config = OwlConfig(**{**TINY, **overrides})
     owl = Owl(program, name=workload, config=config)
+    if reference:
+        owl.pool = ReferencePool(program, owl.device_config)
     return owl.detect(inputs=fixed_inputs(), random_input=random_input,
                       store=store, reuse_report=reuse_report)
 
@@ -46,37 +50,38 @@ class TestWarmEqualsCold:
 
     @pytest.mark.parametrize("workload", ["dummy", "aes"])
     @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("columnar", [True, False])
-    @pytest.mark.parametrize("cohort", [True, False])
+    @pytest.mark.parametrize("dedup", [True, False])
+    @pytest.mark.parametrize("step_budget", [True, False])
     def test_store_reuse_across_recording_configs(self, workload, workers,
-                                                  columnar, cohort,
+                                                  dedup, step_budget,
                                                   tmp_path):
-        """workers / columnar / cohort are excluded from fingerprints
-        (their paths are proven bit-identical), so one cold serial run
-        warms every recording configuration."""
+        """workers / replica_dedup / cohort_step_budget are excluded from
+        fingerprints (their paths are proven bit-identical), so one cold
+        serial run warms every recording configuration — including one
+        whose step budget sends every launch to the per-warp engine."""
         store_dir = tmp_path / "shared"
         cold = run_detection(workload, store=TraceStore(store_dir))
         warm = run_detection(workload, store=TraceStore(store_dir),
                              reuse_report=False, workers=workers,
-                             columnar=columnar, cohort=cohort)
+                             replica_dedup=dedup,
+                             cohort_step_budget=1 if step_budget else None)
         assert warm.stats.cached_traces > 0
         assert warm.stats.cached_runs > 0
         assert warm.report.to_json() == cold.report.to_json()
 
     def test_no_cohort_warmed_store_serves_cohort_rerun(self, tmp_path):
-        """A store populated under --no-cohort is a straight cache hit for
-        the default cohort engine (and vice versa): ``cohort`` does not
-        participate in any fingerprint scope."""
+        """A store populated through the per-warp reference pool is a
+        straight cache hit for the default cohort engine: the engine does
+        not participate in any fingerprint scope."""
         store_dir = tmp_path / "s"
         cold = run_detection("aes", store=TraceStore(store_dir),
-                             cohort=False)
-        warm = run_detection("aes", store=TraceStore(store_dir),
-                             cohort=True)
+                             reference=True)
+        warm = run_detection("aes", store=TraceStore(store_dir))
         assert warm.stats.report_cache_hit
         assert warm.report.to_json() == cold.report.to_json()
 
         rerun = run_detection("aes", store=TraceStore(store_dir),
-                              reuse_report=False, cohort=True)
+                              reuse_report=False)
         assert rerun.stats.cached_traces > 0
         assert rerun.report.to_json() == cold.report.to_json()
 

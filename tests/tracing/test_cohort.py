@@ -5,8 +5,8 @@ in one NumPy pass over a ``(num_warps, 32)`` lane grid.  It is a pure
 execution-strategy optimisation: every recorded
 :class:`~repro.tracing.recorder.ProgramTrace` must be byte-identical to
 the per-warp reference loop — across every bundled workload, under
-schedule shuffling and ASLR, with and without the columnar transport, and
-for partial final warps.
+schedule shuffling and ASLR, on the per-event device stream as well as the
+columnar one, and for partial final warps.
 """
 
 import pytest
@@ -16,7 +16,9 @@ from repro.apps.libgpucrypto import aes_program, rsa_program
 from repro.apps.nvjpeg import encode_program, synthetic_image
 from repro.cli import _workloads
 from repro.core import Owl, OwlConfig
+from repro.core.parallel import TraceRecordingPool
 from repro.gpusim import Device, DeviceConfig, kernel
+from repro.host import CudaRuntime
 from repro.tracing.recorder import TraceRecorder
 
 WORKLOADS = [
@@ -27,15 +29,21 @@ WORKLOADS = [
 ]
 
 
-def record_pair(program, value, device_config=None, buffered=False,
-                columnar=True):
+def record_pair(program, value, device_config=None, buffered=False):
     reference = TraceRecorder(device_config=device_config, buffered=buffered,
-                              columnar=columnar, cohort=False
-                              ).record(program, value)
+                              cohort=False).record(program, value)
     cohort = TraceRecorder(device_config=device_config, buffered=buffered,
-                           columnar=columnar, cohort=True
-                           ).record(program, value)
+                           cohort=True).record(program, value)
     return reference, cohort
+
+
+def device_events(program, value, cohort):
+    """The per-event stream a plain (non-columnar) device emits."""
+    device = Device(DeviceConfig(seed=0), columnar=False, cohort=cohort)
+    events = []
+    device.subscribe(events.append)
+    program(CudaRuntime(device), value)
+    return events
 
 
 class TestAllWorkloads:
@@ -62,10 +70,9 @@ class TestAllWorkloads:
 class TestTraceEquality:
     @pytest.mark.parametrize("program, value", WORKLOADS)
     def test_object_event_path(self, program, value):
-        """Cohort replay is exact on the per-event (non-columnar) path too."""
-        reference, cohort = record_pair(program, value, columnar=False)
-        assert cohort.signature() == reference.signature()
-        assert cohort == reference
+        """Cohort replay is exact on the per-event (non-columnar) stream."""
+        reference = device_events(program, value, cohort=False)
+        assert device_events(program, value, cohort=True) == reference
 
     @pytest.mark.parametrize("program, value", WORKLOADS)
     def test_buffered_channel(self, program, value):
@@ -161,17 +168,20 @@ class TestEngineSelection:
 
 class TestPipelineEquality:
     def test_detect_reports_identical(self):
-        """End to end: cohort and per-warp paths yield the same verdicts."""
+        """End to end: the cohort engine run by run (buffered channel) and
+        in fused replica batches yield the same verdicts."""
         reports = {}
-        for cohort in (False, True):
+        for per_run in (False, True):
             config = OwlConfig(fixed_runs=4, random_runs=4,
-                               cohort=cohort, always_analyze=True)
+                               always_analyze=True)
             owl = Owl(aes_program, name="aes", config=config)
+            if per_run:
+                owl.pool = TraceRecordingPool(aes_program, buffered=True)
             result = owl.detect(
                 inputs=[bytes(range(16)), bytes(range(1, 17))],
                 random_input=lambda rng: bytes(
                     int(b) for b in rng.integers(0, 256, size=16)))
-            reports[cohort] = result.report.to_json()
+            reports[per_run] = result.report.to_json()
         assert reports[True] == reports[False]
 
 

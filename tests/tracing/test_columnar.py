@@ -1,10 +1,11 @@
-"""Columnar fast path ≡ per-event object path.
+"""The columnar trace path: per-warp memory batches, vectorised address
+normalisation and the bulk A-DCFG fold.
 
-The columnar pipeline (per-warp batched memory events, vectorised address
-normalisation, bulk A-DCFG folding) is a pure transport/folding optimisation:
-every recorded :class:`~repro.tracing.recorder.ProgramTrace` must be
-byte-identical to the reference per-event path — including under schedule
-shuffling, ASLR, and the buffered channel configuration.
+At the device, one :class:`MemoryBatchEvent` per warp carries exactly the
+per-instruction :class:`MemoryAccessEvent` stream a plain device emits.
+At the recorder, the production engine's traces are byte-identical to
+the per-warp oracle (``TraceRecorder(cohort=False)``) — including under
+schedule shuffling, ASLR, and the buffered channel configuration.
 """
 
 import pytest
@@ -27,9 +28,9 @@ WORKLOADS = [
 
 def record_pair(program, value, device_config=None, buffered=False):
     reference = TraceRecorder(device_config=device_config, buffered=buffered,
-                              columnar=False).record(program, value)
-    columnar = TraceRecorder(device_config=device_config, buffered=buffered,
-                             columnar=True).record(program, value)
+                              cohort=False).record(program, value)
+    columnar = TraceRecorder(device_config=device_config,
+                             buffered=buffered).record(program, value)
     return reference, columnar
 
 
@@ -70,17 +71,22 @@ class TestTraceEquality:
 
 class TestPipelineEquality:
     def test_detect_reports_identical(self):
-        """End to end: columnar and object paths yield the same verdicts."""
+        """End to end: the per-warp, per-run reference pool yields the
+        same report as the production engine."""
+        from tests.golden.goldens import ReferencePool
+
         reports = {}
-        for columnar in (False, True):
+        for reference in (False, True):
             config = OwlConfig(fixed_runs=4, random_runs=4,
-                               columnar=columnar, always_analyze=True)
+                               always_analyze=True)
             owl = Owl(aes_program, name="aes", config=config)
+            if reference:
+                owl.pool = ReferencePool(aes_program, owl.device_config)
             result = owl.detect(
                 inputs=[bytes(range(16)), bytes(range(1, 17))],
                 random_input=lambda rng: bytes(
                     int(b) for b in rng.integers(0, 256, size=16)))
-            reports[columnar] = result.report.to_json()
+            reports[reference] = result.report.to_json()
         assert reports[True] == reports[False]
 
 
@@ -151,13 +157,13 @@ class TestBatchEvent:
 class TestDeterminism:
     def test_columnar_is_deterministic(self):
         sigs = {
-            TraceRecorder(columnar=True).record(
+            TraceRecorder().record(
                 aes_program, bytes(range(16))).signature()
             for _ in range(3)
         }
         assert len(sigs) == 1
 
     def test_different_secrets_still_differ(self):
-        a = TraceRecorder(columnar=True).record(aes_program, bytes(range(16)))
-        b = TraceRecorder(columnar=True).record(aes_program, bytes(range(1, 17)))
+        a = TraceRecorder().record(aes_program, bytes(range(16)))
+        b = TraceRecorder().record(aes_program, bytes(range(1, 17)))
         assert a.signature() != b.signature()

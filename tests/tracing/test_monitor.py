@@ -1,12 +1,13 @@
 """The warp-trace monitor: event-stream validation and A-DCFG production."""
 
+import numpy as np
 import pytest
 
 from repro.gpusim.events import (
     BasicBlockEvent,
     KernelBeginEvent,
     KernelEndEvent,
-    MemoryAccessEvent,
+    MemoryBatchEvent,
     SyncEvent,
 )
 from repro.gpusim.memory import MemorySpace
@@ -24,11 +25,18 @@ def bb(label, warp_id=0, block_id=0, visit=0):
                            visit=visit, active_lanes=32)
 
 
-def mem(label, addresses, instr=0, visit=0, warp_id=0):
-    return MemoryAccessEvent(block_id=0, warp_id=warp_id, label=label,
-                             visit=visit, instr=instr,
-                             space=MemorySpace.GLOBAL, is_store=False,
-                             addresses=tuple(addresses))
+def mem(label, addresses, instr=0, visit=0, warp_id=0, block_id=0,
+        is_store=False):
+    """One memory instruction as a single-row columnar batch."""
+    return MemoryBatchEvent(
+        block_id=block_id, warp_id=warp_id, labels=(label,),
+        label_ids=np.zeros(1, dtype=np.int32),
+        visits=np.array([visit], dtype=np.int32),
+        instrs=np.array([instr], dtype=np.int32),
+        spaces=np.array([MemorySpace.GLOBAL.value], dtype=np.uint8),
+        is_stores=np.array([is_store]),
+        addresses=np.asarray(addresses, dtype=np.int64),
+        extents=np.array([0, len(addresses)], dtype=np.int64))
 
 
 class TestStreamValidation:
@@ -113,7 +121,8 @@ class TestGraphProduction:
 
     def test_normalizer_applied_to_addresses(self):
         monitor = WarpTraceMonitor(
-            normalizer=lambda addr: ("buf", addr - 1000))
+            batch_normalizer=lambda addrs: [("buf", addr - 1000)
+                                            for addr in addrs.tolist()])
         monitor.on_event(begin())
         monitor.on_event(bb("a"))
         monitor.on_event(mem("a", [1000, 1008]))

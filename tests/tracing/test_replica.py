@@ -4,9 +4,10 @@
 program into mega cohorts (and, opt-in, deduplicates equal inputs on a
 deterministic device).  It is a pure recording optimisation: expanding
 its ``(trace, count)`` groups must reproduce the serial
-``[TraceRecorder().record(program, v) for v in values]`` byte for byte —
-for replica-divergent control flow, shared memory, impure programs,
-injected faults, and Hypothesis-drawn toy kernels.
+``[TraceRecorder(cohort=False).record(program, v) for v in values]`` —
+the per-warp oracle — byte for byte: for replica-divergent control flow,
+shared memory, impure programs, injected faults, and Hypothesis-drawn
+random kernels at 1, 3 and 8 replicas.
 """
 
 import numpy as np
@@ -23,6 +24,12 @@ from repro.tracing.replica import (
     device_is_deterministic,
     group_values,
     record_grouped,
+)
+from tests.gpusim.test_cohort_property import (
+    ACC_SIZE,
+    DATA_SIZE as PROPERTY_DATA_SIZE,
+    build_kernel,
+    kernel_spec_st,
 )
 
 DATA_SIZE = 256
@@ -74,16 +81,13 @@ divergent_program = make_program(divergent_kernel)
 shared_program = make_program(shared_kernel)
 
 
-def serial_signatures(program, values, config=None, columnar=True,
-                      cohort=True):
-    recorder = TraceRecorder(config, columnar=columnar, cohort=cohort)
+def serial_signatures(program, values, config=None):
+    recorder = TraceRecorder(config, cohort=False)
     return [recorder.record(program, value).signature() for value in values]
 
 
-def replica_signatures(program, values, config=None, columnar=True,
-                       cohort=True, dedup=False):
+def replica_signatures(program, values, config=None, dedup=False):
     groups, stats = record_grouped(program, values, device_config=config,
-                                   columnar=columnar, cohort=cohort,
                                    dedup=dedup)
     signatures = [trace.signature()
                   for trace, count in groups for _ in range(count)]
@@ -146,19 +150,13 @@ class TestRecordGroupedEquivalence:
         replica, _stats = replica_signatures(shared_program, values)
         assert replica == serial_signatures(shared_program, values)
 
-    def test_object_event_path_matches_serial(self):
-        values = [1, 4]
-        replica, _stats = replica_signatures(divergent_program, values,
-                                             columnar=False)
-        assert replica == serial_signatures(divergent_program, values,
-                                            columnar=False)
-
     def test_no_cohort_falls_back_per_replica(self):
+        """A kernel that opts out of the cohort engine is never fused."""
+        pinned = kernel(cohort=False)(divergent_kernel.body)
+        program = make_program(pinned)
         values = [1, 4]
-        replica, stats = replica_signatures(divergent_program, values,
-                                            cohort=False)
-        assert replica == serial_signatures(divergent_program, values,
-                                            cohort=False)
+        replica, stats = replica_signatures(program, values)
+        assert replica == serial_signatures(program, values)
         assert stats.fused_launches == 0
 
     def test_dedup_collapses_equal_inputs(self):
@@ -229,23 +227,36 @@ class TestFaultInjection:
 # property: randomised toy kernels
 # ----------------------------------------------------------------------
 
-toy_spec_st = st.fixed_dictionaries({
-    "grid": st.integers(1, 3),
-    "block": st.integers(8, 96),
-    "values": st.lists(st.integers(0, 9), min_size=2, max_size=4),
-    "seed": st.integers(0, 2 ** 16),
-    "shuffle": st.booleans(),
-})
+def random_kernel_program(spec):
+    """A program launching one random kernel from ``test_cohort_property``
+    (warps of one replica diverge) and then the value-dependent
+    ``divergent_kernel`` (replicas diverge from each other)."""
+    toy = build_kernel(spec)
+
+    def program(rt, value):
+        data = rt.cudaMalloc(PROPERTY_DATA_SIZE, label="data")
+        seeded = np.zeros(PROPERTY_DATA_SIZE, dtype=np.int64)
+        seeded[0] = int(value)
+        rt.cudaMemcpyHtoD(data, seeded)
+        acc = rt.cudaMalloc(ACC_SIZE, label="acc")
+        rt.cuLaunchKernel(toy, spec["grid"], spec["block"], data, acc)
+        divergent_program(rt, value)
+    return program
 
 
 class TestProperty:
-    @settings(max_examples=15, deadline=None)
-    @given(spec=toy_spec_st)
-    def test_replica_batch_matches_serial(self, spec):
-        program = make_program(divergent_kernel, spec["grid"], spec["block"])
-        config = DeviceConfig(seed=spec["seed"],
-                              shuffle_schedule=spec["shuffle"])
-        replica, _stats = replica_signatures(program, spec["values"],
-                                             config=config, dedup=True)
-        assert replica == serial_signatures(program, spec["values"],
-                                            config=config)
+    @settings(max_examples=30, deadline=None)
+    @given(spec=kernel_spec_st,
+           values=st.sampled_from([1, 3, 8]).flatmap(
+               lambda replicas: st.lists(st.integers(0, 9),
+                                         min_size=replicas,
+                                         max_size=replicas)),
+           seed=st.integers(0, 2 ** 16), shuffle=st.booleans(),
+           dedup=st.booleans())
+    def test_replica_batch_matches_serial(self, spec, values, seed,
+                                          shuffle, dedup):
+        program = random_kernel_program(spec)
+        config = DeviceConfig(seed=seed, shuffle_schedule=shuffle)
+        replica, _stats = replica_signatures(program, values,
+                                             config=config, dedup=dedup)
+        assert replica == serial_signatures(program, values, config=config)
