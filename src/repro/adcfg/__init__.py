@@ -24,10 +24,12 @@ from repro.adcfg.serialize import (
     deserialize_adcfg,
     serialize_adcfg,
 )
+from repro.adcfg.table import ADCFGTable
 
 __all__ = [
     "ADCFG",
     "ADCFGBuilder",
+    "ADCFGTable",
     "Edge",
     "END_LABEL",
     "MemoryRecord",

@@ -1,12 +1,20 @@
-"""Fold per-warp trace events into a single A-DCFG.
+"""Fold one kernel invocation's warp traces into a single A-DCFG table.
 
-The builder consumes the event stream of one kernel invocation — basic-block
-entries and per-warp memory batches tagged with ``(block id, warp id)`` —
-and aggregates all warps into one graph, eliminating the per-thread redundancy
-that makes naive multi-thread tracing (à la DATA) blow up in memory.
+The builder takes a launch's trace in either form a device emits:
 
-Per warp, the builder tracks the previous basic block so it can record
-edges with their predecessor-edge histogram.  Warp entry and exit are
+* per-warp events — :class:`~repro.gpusim.events.BasicBlockEvent` per
+  block entry and one columnar
+  :class:`~repro.gpusim.events.MemoryBatchEvent` per warp — from the
+  per-warp reference engine;
+* :class:`~repro.gpusim.events.ColumnarTraceEvent` columns — one per
+  executed sub-cohort (or replica slot) — straight from the cohort
+  engines' record lists, with no per-warp event objects in between.
+
+Both land in the same buffers and :meth:`ADCFGBuilder.fold_pending_batches`
+folds them in one vectorised pass into an
+:class:`~repro.adcfg.table.ADCFGTable`, aggregating every warp into one
+graph — the de-duplication that keeps trace size bounded where naive
+multi-thread tracing (à la DATA) blows up.  Warp entry and exit are
 bracketed with the virtual :data:`~repro.adcfg.graph.START_LABEL` /
 :data:`~repro.adcfg.graph.END_LABEL` blocks (the paper treats the first
 ``src`` and last ``dst`` as a special basic-block type).
@@ -14,20 +22,37 @@ bracketed with the virtual :data:`~repro.adcfg.graph.START_LABEL` /
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.adcfg.graph import ADCFG, END_LABEL, START_LABEL, AddressKey
-from repro.gpusim.events import BasicBlockEvent, MemoryBatchEvent
+from repro.adcfg.graph import AddressKey
+from repro.adcfg.table import (
+    END_ID,
+    LABELS,
+    OFFSET_BITS,
+    PACK_LIMIT,
+    START_ID,
+    ADCFGTable,
+    first_rows,
+    group_sum,
+    reduce_tables,
+)
+from repro.gpusim.events import (
+    BasicBlockEvent,
+    ColumnarTraceEvent,
+    MemoryBatchEvent,
+)
 
 #: Maps a whole address array to its normalised keys in one call.
 BatchNormalizer = Callable[[np.ndarray], List[AddressKey]]
 
-#: Maps a whole address array to interned key ids plus the id → key table
-#: (may return None when the packed representation cannot hold the keys).
-KeyIdNormalizer = Callable[
-    [np.ndarray], Optional[Tuple[np.ndarray, List[AddressKey]]]]
+#: Maps a whole address array to packed key ids ``label_id << 40 | offset``
+#: (label ids from :data:`~repro.adcfg.table.LABELS`), or None when an
+#: offset does not fit the packing.
+KeyIdNormalizer = Callable[[np.ndarray], Optional[np.ndarray]]
+
+_OFFSET_MASK = (1 << OFFSET_BITS) - 1
 
 
 def identity_normalizer(addresses: np.ndarray) -> List[AddressKey]:
@@ -36,261 +61,266 @@ def identity_normalizer(addresses: np.ndarray) -> List[AddressKey]:
 
 
 class ADCFGBuilder:
-    """Incremental A-DCFG construction for one kernel invocation."""
+    """A-DCFG construction for one kernel invocation."""
 
     def __init__(self, kernel_identity: str, kernel_name: str = "",
                  total_threads: int = 0, num_warps: int = 0,
                  batch_normalizer: Optional[BatchNormalizer] = None,
                  key_id_normalizer: Optional[KeyIdNormalizer] = None) -> None:
-        self.graph = ADCFG(kernel_identity=kernel_identity,
-                           kernel_name=kernel_name,
-                           total_threads=total_threads, num_warps=num_warps)
+        self.kernel_identity = kernel_identity
+        self.kernel_name = kernel_name or kernel_identity
+        self.total_threads = total_threads
+        self.num_warps = num_warps
         self._batch_normalizer = batch_normalizer or identity_normalizer
         self._key_id_normalizer = key_id_normalizer
-        # per-warp control-flow context: (prev_prev_label, prev_label)
-        self._warp_state: Dict[Tuple[int, int], Tuple[str, str]] = {}
-        # columnar batches buffered for the kernel-wide fold
-        self._pending_batches: List[MemoryBatchEvent] = []
+        # per-warp event intake: warps numbered in first-seen order
+        self._warp_index: Dict[Tuple[int, int], int] = {}
+        self._bb_warps: List[int] = []
+        self._bb_labels: List[int] = []
+        self._batches: List[MemoryBatchEvent] = []
+        # cohort intake
+        self._columns: List[ColumnarTraceEvent] = []
+        self.table: Optional[ADCFGTable] = None
 
     # ------------------------------------------------------------------
-    # event intake
+    # intake
     # ------------------------------------------------------------------
 
     def on_basic_block(self, event: BasicBlockEvent) -> None:
         """Record a warp's entry into a basic block."""
-        warp_key = (event.block_id, event.warp_id)
-        prev_prev, prev = self._warp_state.get(warp_key,
-                                               (START_LABEL, START_LABEL))
-        node = self.graph.node(event.label)
-        node.record_entry()
-        edge = self.graph.edge(prev, event.label)
-        edge.record(prev_src=prev_prev)
-        self._warp_state[warp_key] = (prev, event.label)
+        key = (event.block_id, event.warp_id)
+        warp = self._warp_index.get(key)
+        if warp is None:
+            warp = self._warp_index[key] = len(self._warp_index)
+        self._bb_warps.append(warp)
+        self._bb_labels.append(LABELS.intern(event.label))
 
     def on_memory_batch(self, event: MemoryBatchEvent) -> None:
-        """Buffer one warp's columnar memory batch for the kernel-wide fold.
+        """Buffer one warp's memory batch for the kernel-wide fold."""
+        self._batches.append(event)
 
-        Batches are not folded as they arrive: they accumulate until
-        :meth:`fold_pending_batches` (called by :meth:`finish`) collapses
-        every warp of the invocation in a single vectorised pass.  Folding
-        kernel-wide instead of per warp means each ``(visit, instr)`` slot
-        is written exactly once — the counts dict is built with one
-        ``dict(zip(...))`` instead of one get-and-add per key per warp —
-        and addresses shared between warps (lookup tables, broadcast
-        buffers) are normalised and counted once.  The result is identical
-        to folding each batch on arrival (asserted by the equality tests).
+    def on_columns(self, event: ColumnarTraceEvent) -> None:
+        """Buffer a cohort's columns for the kernel-wide fold."""
+        self._columns.append(event)
+
+    # ------------------------------------------------------------------
+    # the fold
+    # ------------------------------------------------------------------
+
+    def _take_columns(self) -> Tuple[List[np.ndarray], List[np.ndarray]]:
+        """Drain the intake buffers into concatenated columns.
+
+        Returns ``(bb, mem)``: ``bb`` is ``[warp, label]`` for every block
+        entry, grouped by warp and in execution order within a warp;
+        ``mem`` is ``[label, visit, instr, space, store, order, lanes,
+        addresses]`` for every memory instruction.  Labels become
+        interned ids.
         """
-        self._pending_batches.append(event)
+        bb: List[List[np.ndarray]] = [[], []]
+        mem: List[List[np.ndarray]] = [[] for _ in range(8)]
+        warps = 0
+        for event in self._columns:
+            lut = LABELS.intern_all(event.labels)
+            bb[0].append(event.bb_warp + warps)
+            bb[1].append(lut[event.bb_label])
+            warps += event.num_warps
+            for parts, column in zip(mem, (
+                    lut[event.mem_label], event.mem_visit, event.mem_instr,
+                    event.mem_space, event.mem_store, event.mem_order,
+                    event.mem_lanes, event.addresses)):
+                parts.append(column)
+        if self._bb_warps:
+            warp = np.asarray(self._bb_warps, dtype=np.int64)
+            order = np.argsort(warp, kind="stable")
+            bb[0].append(warp[order] + warps)
+            bb[1].append(np.asarray(self._bb_labels, dtype=np.int64)[order])
+        for position, batch in enumerate(self._batches):
+            n = batch.num_instructions
+            lut = LABELS.intern_all(batch.labels)
+            for parts, column in zip(mem, (
+                    lut[batch.label_ids], batch.visits, batch.instrs,
+                    batch.spaces, batch.is_stores, np.full(n, position),
+                    np.diff(batch.extents), batch.addresses)):
+                parts.append(column)
+        self._columns = []
+        self._warp_index = {}
+        self._bb_warps = []
+        self._bb_labels = []
+        self._batches = []
+        return ([_concat(parts) for parts in bb],
+                [_concat(parts) for parts in mem])
 
-    def fold_pending_batches(self) -> None:
-        """Fold every buffered batch into the graph in one vectorised pass.
+    def fold_pending_batches(self, peers: Sequence["ADCFGBuilder"] = ()
+                             ) -> None:
+        """Fold everything buffered so far into :attr:`table` — and, in
+        the same pass, every builder of *peers* into its own table.
 
-        All warps' instruction slots are interned into one table, the
-        concatenated ``(slot, address)`` pairs collapse to unique pairs
-        with multiplicities through one packed sort, and the unique
-        addresses of the whole kernel are normalised with a single
-        batch-normaliser call.  Each populated slot then receives exactly
-        one :meth:`~repro.adcfg.graph.Node.record_access_bulk` call.
+        Folding several invocations at once (a fused launch's replica
+        slots, a bounded block at a time) pays NumPy's per-call cost once
+        per block instead of once per invocation; every column carries
+        its builder's slot, which leads every grouping key, so the tables
+        come out exactly as if folded one by one.
+
+        Control flow: per warp, each block entry becomes a ``(prev, src,
+        dst)`` transition (with :data:`START_LABEL` before a warp's first
+        block and an extra transition into :data:`END_LABEL` after its
+        last), counted with one grouped sort.  Memory: the instruction
+        rows collapse to their ``(label, visit, instr)`` record slots, the
+        ``(record, address)`` pairs collapse to unique pairs with
+        multiplicities through one packed sort, each builder normalises
+        its unique addresses to key ids in one call, and pairs
+        re-aggregate by key — address → key is only injective within a
+        block (shared memory maps offset 0 of every block to the same key).
         """
-        batches = [event for event in self._pending_batches
-                   if event.addresses.shape[0] > 0]
-        if not batches:
-            self._pending_batches = []
-            return
-        label_table: List[str] = []
-        label_index: Dict[str, int] = {}
-        glabel_parts = []
-        for event in batches:
-            ids = []
-            for label in event.labels:
-                idx = label_index.get(label)
-                if idx is None:
-                    idx = label_index[label] = len(label_table)
-                    label_table.append(label)
-                ids.append(idx)
-            glabel_parts.append(
-                np.asarray(ids, dtype=np.int64)[event.label_ids])
-        glabels = np.concatenate(glabel_parts)
-        visits = np.concatenate(
-            [e.visits for e in batches]).astype(np.int64, copy=False)
-        instrs = np.concatenate(
-            [e.instrs for e in batches]).astype(np.int64, copy=False)
-        spaces = np.concatenate(
-            [e.spaces for e in batches]).astype(np.int64, copy=False)
-        stores = np.concatenate(
-            [e.is_stores for e in batches]).astype(np.int64, copy=False)
-        visit_span = int(visits.max()) + 1
-        instr_span = int(instrs.max()) + 1
-        if len(label_table) * visit_span * instr_span >= 2 ** 63:
-            # slot packing would overflow int64 (absurd visit/instr counts);
-            # fall back to folding each batch separately
-            for event in batches:
-                self._fold_single_batch(event)
-            self._pending_batches = []
-            return
-        packed_slot = (glabels * visit_span + visits) * instr_span + instrs
-        slot_keys, slot_ids = np.unique(packed_slot, return_inverse=True)
-        n_slots = int(slot_keys.shape[0])
-        slot_space = np.zeros(n_slots, dtype=np.int64)
-        slot_space[slot_ids] = spaces
-        slot_store = np.zeros(n_slots, dtype=np.int64)
-        slot_store[slot_ids] = stores
-        slot_glabel = (slot_keys // (visit_span * instr_span)).tolist()
-        slot_visit = (slot_keys // instr_span % visit_span).tolist()
-        slot_instr = (slot_keys % instr_span).tolist()
+        builders = [self, *peers]
+        bb: List[List[np.ndarray]] = [[], [], []]
+        mem: List[List[np.ndarray]] = [[] for _ in range(9)]
+        warps = 0
+        for slot, builder in enumerate(builders):
+            (warp, label), columns = builder._take_columns()
+            bb[0].append(np.full(label.shape[0], slot, dtype=np.int64))
+            bb[1].append(warp + warps)
+            bb[2].append(label)
+            warps += int(warp[-1]) + 1 if warp.shape[0] else 0
+            mem[0].append(np.full(columns[0].shape[0], slot, dtype=np.int64))
+            for parts, column in zip(mem[1:], columns):
+                parts.append(column)
+        tables = [ADCFGTable(b.kernel_identity, b.kernel_name,
+                             b.total_threads, b.num_warps) for b in builders]
+        bb = [_concat(parts) for parts in bb]
+        mem = [_concat(parts) for parts in mem]
+        if bb[2].shape[0]:
+            self._fold_control_flow(tables, *bb)
+        if mem[8].shape[0]:
+            self._fold_memory(builders, tables, *mem)
+        for builder, table in zip(builders, tables):
+            builder.table = (table if builder.table is None else
+                             reduce_tables([(builder.table, 1), (table, 1)]))
+            builder.table.size_bytes()  # trace-size accounting, while hot
 
-        addresses = np.concatenate([e.addresses for e in batches])
-        lane_counts = np.concatenate([np.diff(e.extents) for e in batches])
-        slot_of_addr = np.repeat(slot_ids, lane_counts)
-        total = addresses.shape[0]
+    @staticmethod
+    def _fold_control_flow(tables: List[ADCFGTable], slot: np.ndarray,
+                           warp: np.ndarray, label: np.ndarray) -> None:
+        n = label.shape[0]
+        first = np.empty(n, dtype=bool)
+        first[0] = True
+        np.not_equal(warp[1:], warp[:-1], out=first[1:])
+        last = np.empty(n, dtype=bool)
+        last[-1] = True
+        last[:-1] = first[1:]
+        prev = np.empty(n, dtype=np.int64)
+        prev[1:] = label[:-1]
+        prev[first] = START_ID
+        before = np.empty(n, dtype=np.int64)
+        before[1:] = prev[:-1]
+        before[first] = START_ID
+        # one transition per block entry plus one into END per warp
+        exits = slot[last]
+        (t_slot, src, dst, before), counts = group_sum([
+            np.concatenate((slot, exits)),
+            np.concatenate((prev, label[last])),
+            np.concatenate((label, np.full(exits.shape[0], END_ID,
+                                           dtype=np.int64))),
+            np.concatenate((before, prev[last]))])
+        edge_start = np.flatnonzero(np.concatenate(
+            ([True], (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])
+             | (t_slot[1:] != t_slot[:-1]))))
+        e_slot = t_slot[edge_start]
+        e_count = np.add.reduceat(counts, edge_start)
+        (n_slot, node), entries = group_sum([slot, label])
+        cuts = np.arange(len(tables) + 1)
+        t_at = t_slot.searchsorted(cuts).tolist()
+        e_at = e_slot.searchsorted(cuts).tolist()
+        n_at = n_slot.searchsorted(cuts).tolist()
+        for k, table in enumerate(tables):
+            lo, hi = t_at[k], t_at[k + 1]
+            table.prev_src, table.prev_dst = src[lo:hi], dst[lo:hi]
+            table.prev_label, table.prev_count = before[lo:hi], counts[lo:hi]
+            lo, hi = e_at[k], e_at[k + 1]
+            edges = edge_start[lo:hi]
+            table.edge_src, table.edge_dst = src[edges], dst[edges]
+            table.edge_count = e_count[lo:hi]
+            lo, hi = n_at[k], n_at[k + 1]
+            table.node_label, table.node_entries = node[lo:hi], entries[lo:hi]
+
+    @staticmethod
+    def _fold_memory(builders: List["ADCFGBuilder"],
+                     tables: List[ADCFGTable], slot, label, visit, instr,
+                     space, store, order, lanes, addresses) -> None:
+        # one record per (slot, label, visit, instr); when warps disagree
+        # on a record's space/store flag the latest in schedule order
+        # wins, as it did when per-warp batches were folded in emission
+        # order
+        chosen, record_of_row = first_rows([slot, label, visit, instr],
+                                           -order)
         low = int(addresses.min())
         span = int(addresses.max()) - low + 1
-        if n_slots * span < 2 ** 63:
-            packed = slot_of_addr * span + (addresses - low)
-            packed.sort()
-            run_start = np.empty(total, dtype=bool)
-            run_start[0] = True
-            run_start[1:] = packed[1:] != packed[:-1]
-            starts = np.flatnonzero(run_start)
-            unique_packed = packed[starts]
-            unique_slot = unique_packed // span
-            unique_addr = unique_packed % span + low
+        if chosen.shape[0] * span <= PACK_LIMIT:
+            # (record, address) packed into one sort key, built without
+            # materialising a per-address record column
+            key = np.repeat(record_of_row * span - low, lanes)
+            key += addresses
+            key.sort()
+            starts = np.flatnonzero(np.concatenate(
+                ([True], key[1:] != key[:-1])))
+            counts = np.diff(starts, append=key.shape[0])
+            record, address = np.divmod(key[starts], span)
+            address += low
         else:
-            order = np.lexsort((addresses, slot_of_addr))
-            sorted_addr = addresses[order]
-            sorted_slot = slot_of_addr[order]
-            run_start = np.empty(total, dtype=bool)
-            run_start[0] = True
-            run_start[1:] = ((sorted_addr[1:] != sorted_addr[:-1])
-                             | (sorted_slot[1:] != sorted_slot[:-1]))
-            starts = np.flatnonzero(run_start)
-            unique_addr = sorted_addr[starts]
-            unique_slot = sorted_slot[starts]
-        counts = np.diff(starts, append=total)
-        # normalise each pair's address to an interned key id.  Address →
-        # key is only injective within a block — shared memory maps offset
-        # 0 of every block to the same key — so kernel-wide pairs must
-        # re-aggregate by key id before the per-slot dict fold
-        ids_result = (self._key_id_normalizer(unique_addr)
-                      if self._key_id_normalizer is not None else None)
-        if ids_result is not None:
-            pair_key_ids, key_objects = ids_result
-        else:
-            addr_vals, val_inv = np.unique(unique_addr, return_inverse=True)
-            val_keys = self._batch_normalizer(addr_vals)
-            key_index: Dict[AddressKey, int] = {}
-            key_objects = []
-            val_key_ids = np.empty(len(val_keys), dtype=np.int64)
-            for i, key in enumerate(val_keys):
-                kid = key_index.get(key)
-                if kid is None:
-                    kid = key_index[key] = len(key_objects)
-                    key_objects.append(key)
-                val_key_ids[i] = kid
-            pair_key_ids = val_key_ids[val_inv]
-        n_keys = len(key_objects)
-        if n_slots * n_keys >= 2 ** 63:
-            for event in batches:
-                self._fold_single_batch(event)
-            self._pending_batches = []
-            return
-        pair_packed = unique_slot * n_keys + pair_key_ids
-        order = np.argsort(pair_packed)
-        sorted_pairs = pair_packed[order]
-        pair_start = np.empty(sorted_pairs.shape[0], dtype=bool)
-        pair_start[0] = True
-        pair_start[1:] = sorted_pairs[1:] != sorted_pairs[:-1]
-        pair_starts = np.flatnonzero(pair_start)
-        agg_counts = np.add.reduceat(counts[order], pair_starts).tolist()
-        agg_pairs = sorted_pairs[pair_starts]
-        agg_slot = agg_pairs // n_keys
-        agg_key_ids = (agg_pairs % n_keys).tolist()
-        bounds = np.searchsorted(agg_slot,
-                                 np.arange(n_slots + 1)).tolist()
-        node = self.graph.node
-        for sid in range(n_slots):
-            lo, hi = bounds[sid], bounds[sid + 1]
-            node(label_table[slot_glabel[sid]]).record_access_bulk(
-                visit=slot_visit[sid], instr=slot_instr[sid],
-                space=int(slot_space[sid]), is_store=bool(slot_store[sid]),
-                keys=[key_objects[k] for k in agg_key_ids[lo:hi]],
-                counts=agg_counts[lo:hi])
-        self._pending_batches = []
+            (record, address), counts = group_sum(
+                [np.repeat(record_of_row, lanes), addresses])
+        # records sort slot-first, so each builder owns one record range
+        # and one range of pairs; each normalises its own addresses
+        rec_at = slot[chosen].searchsorted(np.arange(len(tables) + 1))
+        pair_at = record.searchsorted(rec_at).tolist()
+        key_label = np.empty_like(address)
+        key_offset = np.empty_like(address)
+        for k, builder in enumerate(builders):
+            lo, hi = pair_at[k], pair_at[k + 1]
+            if lo < hi:
+                key_label[lo:hi], key_offset[lo:hi] = builder._normalize(
+                    address[lo:hi])
+        (record, key_label, key_offset), counts = group_sum(
+            [record, key_label, key_offset], counts)
+        acc_at = record.searchsorted(rec_at).tolist()
+        rec_at = rec_at.tolist()
+        for k, table in enumerate(tables):
+            lo, hi = rec_at[k], rec_at[k + 1]
+            rows = chosen[lo:hi]
+            table.rec_label, table.rec_visit = label[rows], visit[rows]
+            table.rec_instr, table.rec_space = instr[rows], space[rows]
+            table.rec_store = store[rows]
+            a, b = acc_at[k], acc_at[k + 1]
+            table.acc_rec = record[a:b] - lo
+            table.acc_label, table.acc_offset = key_label[a:b], key_offset[a:b]
+            table.acc_count = counts[a:b]
 
-    def _fold_single_batch(self, event: MemoryBatchEvent) -> None:
-        """Fold one warp's batch immediately (kernel-wide fold fallback).
-
-        The original per-batch fold: one ``lexsort`` over
-        ``(instruction, address)`` groups every instruction's repeated
-        addresses into runs, the run starts yield unique pairs with
-        multiplicities, and the unique addresses are normalised with a
-        single batch-normaliser call.
-        """
-        addresses = event.addresses
-        extents = event.extents
-        n_instr = event.num_instructions
-        total = addresses.shape[0]
-        if total == 0:
-            return
-        instr_of_addr = np.repeat(np.arange(n_instr), np.diff(extents))
-        low = int(addresses.min())
-        span = int(addresses.max()) - low + 1
-        if n_instr * span < 2 ** 63:
-            # Pack (instruction, address) into one int64 and sort the packed
-            # values directly — one non-stable value sort instead of
-            # lexsort's two stable argsorts (equal keys are identical pairs,
-            # so stability is irrelevant), and the unique pairs unpack
-            # straight from the sorted keys.
-            packed = instr_of_addr * span + (addresses - low)
-            packed.sort()
-            run_start = np.empty(total, dtype=bool)
-            run_start[0] = True
-            run_start[1:] = packed[1:] != packed[:-1]
-            starts = np.flatnonzero(run_start)
-            unique_packed = packed[starts]
-            unique_instr = unique_packed // span
-            unique_addr = unique_packed % span + low
-        else:
-            order = np.lexsort((addresses, instr_of_addr))
-            sorted_addr = addresses[order]
-            sorted_instr = instr_of_addr[order]
-            run_start = np.empty(total, dtype=bool)
-            run_start[0] = True
-            run_start[1:] = ((sorted_addr[1:] != sorted_addr[:-1])
-                             | (sorted_instr[1:] != sorted_instr[:-1]))
-            starts = np.flatnonzero(run_start)
-            unique_addr = sorted_addr[starts]
-            unique_instr = sorted_instr[starts]
-        counts = np.diff(starts, append=total).tolist()
-        keys = self._batch_normalizer(unique_addr)
-        # slice boundaries of each instruction's unique keys
-        bounds = np.searchsorted(unique_instr,
-                                 np.arange(n_instr + 1)).tolist()
-
-        labels = event.labels
-        label_ids = event.label_ids.tolist()
-        visits = event.visits.tolist()
-        instrs = event.instrs.tolist()
-        spaces = event.spaces.tolist()
-        stores = event.is_stores.tolist()
-        node = self.graph.node
-        # one node lookup per distinct label, not per instruction
-        nodes = [node(label) for label in labels]
-        for i, label_id in enumerate(label_ids):
-            lo, hi = bounds[i], bounds[i + 1]
-            nodes[label_id].record_access_bulk(
-                visit=visits[i], instr=instrs[i], space=spaces[i],
-                is_store=stores[i], keys=keys[lo:hi], counts=counts[lo:hi])
+    def _normalize(self, addresses: np.ndarray
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(key label ids, key offsets)`` of each address."""
+        if self._key_id_normalizer is not None:
+            ids = self._key_id_normalizer(addresses)
+            if ids is not None:
+                return ids >> OFFSET_BITS, ids & _OFFSET_MASK
+        keys = self._batch_normalizer(addresses)
+        return (LABELS.intern_all([alloc_label for alloc_label, _ in keys]),
+                np.fromiter((offset for _, offset in keys), dtype=np.int64,
+                            count=len(keys)))
 
     # ------------------------------------------------------------------
     # finalisation
     # ------------------------------------------------------------------
 
-    def finish(self) -> ADCFG:
-        """Close every warp's trace with the virtual END block and return
-        the completed graph."""
-        self.fold_pending_batches()
-        for (prev_prev, prev) in self._warp_state.values():
-            self.graph.edge(prev, END_LABEL).record(prev_src=prev_prev)
-        self._warp_state = {}
-        return self.graph
+    def finish(self) -> ADCFGTable:
+        """Fold what is still buffered and return the invocation's table."""
+        if self.table is None or self._bb_warps or self._batches \
+                or self._columns:
+            self.fold_pending_batches()
+        return self.table
+
+
+def _concat(parts: List[np.ndarray]) -> np.ndarray:
+    if not parts:
+        return np.empty(0, dtype=np.int64)
+    joined = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return joined.astype(np.int64, copy=False)

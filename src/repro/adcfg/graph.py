@@ -19,7 +19,7 @@ Structure (following §V-B of the paper):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 #: Virtual predecessor of each warp's first basic block.
 START_LABEL = "<START>"
@@ -47,29 +47,6 @@ class MemoryRecord:
         """Count one access per key occurrence."""
         for key in keys:
             self.counts[key] = self.counts.get(key, 0) + 1
-
-    def add_counts(self, keys: Sequence[AddressKey],
-                   counts: Sequence[int]) -> None:
-        """Bulk variant of :meth:`add`: fold pre-aggregated key counts.
-
-        The columnar pipeline collapses one instruction's address vector
-        into unique keys with multiplicities and lands the result here in
-        one call instead of one :meth:`add` per lane.  *keys* must not
-        contain duplicates (the empty-record fast path folds them with a
-        single ``dict`` construction); *counts* must be plain ints.
-        """
-        existing = self.counts
-        if not existing:
-            self.counts = dict(zip(keys, counts))
-            return
-        get = existing.get
-        for key, count in zip(keys, counts):
-            existing[key] = get(key, 0) + count
-
-    def merge(self, other: "MemoryRecord", scale: int = 1) -> None:
-        """Fold *other*'s counts into this record (*scale* repetitions)."""
-        for key, count in other.counts.items():
-            self.counts[key] = self.counts.get(key, 0) + count * scale
 
     @property
     def total_accesses(self) -> int:
@@ -120,21 +97,6 @@ class Node:
             record.is_store = is_store
         record.add(keys)
 
-    def record_access_bulk(self, visit: int, instr: int, space: int,
-                           is_store: bool, keys: Sequence[AddressKey],
-                           counts: Sequence[int]) -> None:
-        """Bulk :meth:`record_access`: fold pre-counted keys into a slot."""
-        while len(self.visits) <= visit:
-            self.visits.append([])
-        slot_list = self.visits[visit]
-        while len(slot_list) <= instr:
-            slot_list.append(MemoryRecord())
-        record = slot_list[instr]
-        if not record.counts:
-            record.space = space
-            record.is_store = is_store
-        record.add_counts(keys, counts)
-
     def iter_instructions(self):
         """Yield ``(visit, instr, record)`` for every non-empty slot."""
         for visit, slots in enumerate(self.visits):
@@ -174,14 +136,6 @@ class Edge:
     def record(self, prev_src: str, count: int = 1) -> None:
         self.count += count
         self.prev_counts[prev_src] = self.prev_counts.get(prev_src, 0) + count
-
-    def merge(self, other: "Edge", scale: int = 1) -> None:
-        if (self.src, self.dst) != (other.src, other.dst):
-            raise ValueError("cannot merge edges with different endpoints")
-        self.count += other.count * scale
-        for prev, count in other.prev_counts.items():
-            self.prev_counts[prev] = (self.prev_counts.get(prev, 0)
-                                      + count * scale)
 
     def copy(self) -> "Edge":
         return Edge(src=self.src, dst=self.dst, count=self.count,

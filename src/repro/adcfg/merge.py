@@ -2,8 +2,8 @@
 
 Two uses in the paper:
 
-* trace recording folds every warp into one graph (done incrementally by
-  :class:`~repro.adcfg.builder.ADCFGBuilder`);
+* trace recording folds every warp into one graph (the
+  :class:`~repro.adcfg.builder.ADCFGBuilder` table fold);
 * evidence collection (§VII-A step 2) merges the A-DCFGs of *aligned* kernel
   invocations across repeated executions: node/edge attributes are summed,
   memory records aggregated per (visit, instruction) slot.
@@ -15,10 +15,9 @@ merging across identities is a usage error and raises.
 from __future__ import annotations
 
 from repro.adcfg.graph import ADCFG
+from repro.adcfg.table import ADCFGTable, MergeError, reduce_tables
 
-
-class MergeError(Exception):
-    """Raised when incompatible A-DCFGs are merged."""
+__all__ = ["MergeError", "merge_adcfg", "merge_adcfg_into"]
 
 
 def merge_adcfg_into(target: ADCFG, source: ADCFG, scale: int = 1) -> ADCFG:
@@ -27,27 +26,13 @@ def merge_adcfg_into(target: ADCFG, source: ADCFG, scale: int = 1) -> ADCFG:
     ``scale`` folds *source* in as *scale* identical repetitions in one
     pass — used by replica batching, where a deduplicated trace stands
     for several byte-identical runs.  Equivalent to calling this function
-    *scale* times (all merged attributes are additive counts).
+    *scale* times (all merged attributes are additive counts).  The work
+    is the table reduce evidence uses
+    (:func:`~repro.adcfg.table.reduce_tables`).
     """
-    if target.kernel_identity != source.kernel_identity:
-        raise MergeError(
-            f"cannot merge {source.kernel_identity!r} into "
-            f"{target.kernel_identity!r}: different kernel identities")
-    target.total_threads = max(target.total_threads, source.total_threads)
-    target.num_warps = max(target.num_warps, source.num_warps)
-
-    for label, src_node in source.nodes.items():
-        dst_node = target.node(label)
-        dst_node.record_entry(src_node.entries * scale)
-        for visit, instr, record in src_node.iter_instructions():
-            # ensure the slot exists, then merge counts wholesale
-            dst_node.record_access(visit=visit, instr=instr,
-                                   space=record.space,
-                                   is_store=record.is_store, keys=())
-            dst_node.visits[visit][instr].merge(record, scale=scale)
-
-    for key, src_edge in source.edges.items():
-        target.edge(*key).merge(src_edge, scale=scale)
+    merged = reduce_tables([(ADCFGTable.from_graph(target), 1),
+                            (ADCFGTable.from_graph(source), scale)])
+    target.__dict__.update(merged.to_graph().__dict__)
     return target
 
 

@@ -490,16 +490,14 @@ def _profile_payload(profiler, result, workload: str) -> dict:
     """Assemble the ``--profile`` JSON: hook-timed device phases plus the
     analysis phases the pipeline already accounts in PhaseStats."""
     stats = result.stats
-    emit = profiler.get("event_emit")
-    fold = profiler.get("adcfg_fold")
     payload = {
         "workload": workload,
         "phases_seconds": {
+            # nested phases book exclusive time: launch, transport and
+            # fold never overlap
             "kernel_execute": profiler.get("kernel_execute"),
-            # _emit dispatch includes the fold when delivery is eager;
-            # report transport and folding separately
-            "event_emit": max(0.0, emit - fold),
-            "adcfg_fold": fold,
+            "event_emit": profiler.get("event_emit"),
+            "adcfg_fold": profiler.get("adcfg_fold"),
             "analysis": stats.test_seconds,
             "evidence_fold": stats.evidence_seconds,
             # analysis sub-phases: signature filtering, evidence alignment,

@@ -20,29 +20,99 @@ histograms for the device-leakage tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List, Optional, Tuple
 
 from repro.adcfg.graph import ADCFG
-from repro.adcfg.merge import merge_adcfg_into
+from repro.adcfg.table import ADCFGTable, reduce_tables
 from repro.core.alignment import EditOp, myers_diff
 from repro.errors import ConfigError
 from repro.tracing.recorder import ProgramTrace
 
 
-@dataclass
+#: appended tables an evidence slot holds before reducing them to one
+MAX_PARTS = 16
+
+
 class EvidenceSlot:
     """One aligned kernel-invocation position across repeated runs.
+
+    The merged A-DCFG is kept as ``(table, repetitions)`` parts — each
+    aligned run appends its invocation's
+    :class:`~repro.adcfg.table.ADCFGTable` — and reduced by one
+    concatenate + sort + ``np.add.reduceat`` (:meth:`compact`) when
+    :data:`MAX_PARTS` have piled up, when the recording pool finishes a
+    side, or the first time :attr:`adcfg` is read; only then is the
+    object graph built.  A slot built from an object graph (a
+    deserialised store payload) starts from that graph.
 
     ``per_run_graphs`` is only populated when the evidence is built with
     ``keep_per_run=True`` (the strict per-run sampling mode): one A-DCFG
     per run, ``None`` for runs where the invocation was absent.
     """
 
-    identity: str
-    kernel_name: str
-    per_run_present: List[bool]
-    adcfg: ADCFG
-    per_run_graphs: Optional[List[Optional[ADCFG]]] = None
+    def __init__(self, identity: str, kernel_name: str,
+                 per_run_present: List[bool],
+                 adcfg: Optional[ADCFG] = None,
+                 per_run_graphs: Optional[List[Optional[ADCFG]]] = None,
+                 table: Optional[ADCFGTable] = None) -> None:
+        self.identity = identity
+        self.kernel_name = kernel_name
+        self.per_run_present = per_run_present
+        self.per_run_graphs = per_run_graphs
+        self._graph = adcfg
+        self._parts: List[Tuple[ADCFGTable, int]] = (
+            [] if table is None else [(table, 1)])
+
+    def add(self, table: ADCFGTable, scale: int = 1) -> None:
+        """Fold *scale* repetitions of one invocation's table in.
+
+        Parts are reduced every :data:`MAX_PARTS` appends, so a slot
+        holds a bounded number of per-run tables however many runs it
+        sees.
+        """
+        parts = self.parts()
+        if parts and parts[-1][0] is table:
+            parts[-1] = (table, parts[-1][1] + scale)
+        else:
+            parts.append((table, scale))
+        self._graph = None
+        if len(parts) >= MAX_PARTS:
+            self.compact()
+
+    def absorb(self, other: "EvidenceSlot") -> None:
+        """Fold every run of *other* (a later block of runs) in."""
+        for table, scale in other.parts():
+            self.add(table, scale)
+
+    def parts(self) -> List[Tuple[ADCFGTable, int]]:
+        if not self._parts and self._graph is not None:
+            self._parts.append((ADCFGTable.from_graph(self._graph), 1))
+        return self._parts
+
+    def compact(self) -> ADCFGTable:
+        """Reduce the parts to one table (the merged A-DCFG's table)."""
+        parts = self.parts()
+        if len(parts) > 1 or parts[0][1] != 1:
+            self._parts = [(reduce_tables(parts), 1)]
+        return self._parts[0][0]
+
+    @property
+    def adcfg(self) -> ADCFG:
+        """The merged A-DCFG of every run the invocation was present in."""
+        if self._graph is None:
+            self._graph = self.compact().to_graph()
+        return self._graph
+
+    @adcfg.setter
+    def adcfg(self, graph: ADCFG) -> None:
+        self._graph = graph
+        self._parts = []
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        if state["_parts"]:
+            state["_graph"] = None  # derivable; ship the compact form
+        return state
 
     @property
     def total_count(self) -> int:
@@ -58,6 +128,10 @@ class EvidenceSlot:
         if present:
             hist[1] = present
         return hist
+
+    def __repr__(self) -> str:
+        return (f"EvidenceSlot({self.identity!r}, "
+                f"present={self.total_count}/{len(self.per_run_present)})")
 
 
 class Evidence:
@@ -96,7 +170,7 @@ class Evidence:
                 slot = self.slots[step.a_index]
                 invocation = trace.invocations[step.b_index]
                 slot.per_run_present.append(True)
-                merge_adcfg_into(slot.adcfg, invocation.adcfg)
+                slot.add(invocation.table)
                 if slot.per_run_graphs is not None:
                     slot.per_run_graphs.append(invocation.adcfg.copy())
                 new_slots.append(slot)
@@ -112,7 +186,7 @@ class Evidence:
                     identity=invocation.identity,
                     kernel_name=invocation.kernel_name,
                     per_run_present=[False] * self.num_runs + [True],
-                    adcfg=invocation.adcfg.copy(),
+                    table=invocation.table,
                     per_run_graphs=(
                         [None] * self.num_runs + [invocation.adcfg.copy()]
                         if self.keep_per_run else None)))
@@ -149,8 +223,7 @@ class Evidence:
             if step.op is EditOp.EQUAL:
                 invocation = trace.invocations[step.b_index]
                 slot.per_run_present.extend([True] * remaining)
-                merge_adcfg_into(slot.adcfg, invocation.adcfg,
-                                 scale=remaining)
+                slot.add(invocation.table, scale=remaining)
                 if slot.per_run_graphs is not None:
                     slot.per_run_graphs.extend(
                         invocation.adcfg.copy() for _ in range(remaining))
@@ -184,7 +257,7 @@ class Evidence:
                 slot = self.slots[step.a_index]
                 other_slot = other.slots[step.b_index]
                 slot.per_run_present.extend(other_slot.per_run_present)
-                merge_adcfg_into(slot.adcfg, other_slot.adcfg)
+                slot.absorb(other_slot)
                 if slot.per_run_graphs is not None:
                     slot.per_run_graphs.extend(other_slot.per_run_graphs or [])
                 new_slots.append(slot)
@@ -204,6 +277,13 @@ class Evidence:
                 new_slots.append(other_slot)
         self.slots = new_slots
         self.num_runs += other.num_runs
+        return self
+
+    def compact(self) -> "Evidence":
+        """Reduce every slot's appended tables to one (see
+        :meth:`EvidenceSlot.compact`); returns ``self``."""
+        for slot in self.slots:
+            slot.compact()
         return self
 
     def slot_by_identity(self, identity: str) -> Optional[EvidenceSlot]:

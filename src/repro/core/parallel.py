@@ -19,8 +19,8 @@ one:
   streaming fold the serial path uses) and ships *that* back instead of
   pickling hundreds of full ``ProgramTrace`` objects; the parent merges the
   partials left-to-right with :meth:`Evidence.merge`, which extends the
-  per-run presence vectors in run order and aggregates A-DCFGs with the
-  associative :func:`~repro.adcfg.merge.merge_adcfg_into`.
+  per-run presence vectors in run order and aggregates the slots' A-DCFG
+  tables (an associative, order-preserving reduce).
 
 Failures are handled per chunk by a
 :class:`~repro.resilience.supervisor.ChunkSupervisor` under the
@@ -208,7 +208,8 @@ def _record_evidence_chunk(
     Each trace is dropped as soon as it is merged, so on the buffered
     channel worker peak RAM is one trace plus the growing partial
     evidence — the streaming fold that keeps the Table IV memory column
-    flat at high run counts.
+    flat at high run counts.  The partial is compacted to one table per
+    slot before it is returned (and pickled, from a worker).
     """
     stats = ChunkStats()
     evidence = Evidence(keep_per_run=keep_per_run)
@@ -217,6 +218,9 @@ def _record_evidence_chunk(
         folded = time.perf_counter()
         evidence.add_trace_repeated(trace, count)
         stats.evidence_seconds += time.perf_counter() - folded
+    folded = time.perf_counter()
+    evidence.compact()
+    stats.evidence_seconds += time.perf_counter() - folded
     return evidence, stats
 
 
@@ -287,9 +291,14 @@ class TraceRecordingPool:
                 merge_started = time.perf_counter()
                 evidence.merge(chunk_evidence)
                 stats.evidence_seconds += time.perf_counter() - merge_started
+        if evidence is None:
+            evidence = Evidence(keep_per_run=keep_per_run)
+        elif len(chunks) > 1:
+            merge_started = time.perf_counter()
+            evidence.compact()
+            stats.evidence_seconds += time.perf_counter() - merge_started
         stats.degradations.extend(log.events)
-        return evidence if evidence is not None else Evidence(
-            keep_per_run=keep_per_run), stats
+        return evidence, stats
 
     # ------------------------------------------------------------------
     # dispatch

@@ -32,6 +32,7 @@ from repro.gpusim.context import SimtDivergenceError, WarpContext
 from repro.gpusim.device import Device, DeviceConfig
 from repro.gpusim.events import (
     BasicBlockEvent,
+    ColumnarTraceEvent,
     KernelBeginEvent,
     KernelEndEvent,
     MemoryAccessEvent,
@@ -61,6 +62,7 @@ __all__ = [
     "CohortContext",
     "CohortSharedView",
     "CohortSplit",
+    "ColumnarTraceEvent",
     "Device",
     "DeviceBuffer",
     "DeviceConfig",

@@ -11,8 +11,11 @@ time (Table IV of the paper; see DESIGN.md §10).
 warp at schedule position *i* (so row order *is* schedule order, which makes
 row-major NumPy semantics coincide with the per-warp memory-commit order).
 The same structured-control DSL is interpreted with 2-D masks, and every
-observable side effect is captured in an in-order record list that is
-re-expanded into the exact per-warp event streams at launch retirement.
+observable side effect is captured in an in-order record list.  At launch
+retirement a columnar device hands that list to the trace monitor as flat
+columns (:meth:`CohortContext.columns`) — no per-warp event objects — and
+a per-event device re-expands it into the exact per-warp event streams
+(:meth:`CohortContext.replay_events`).
 
 Sub-cohort splitting
 --------------------
@@ -34,13 +37,14 @@ The cohort engine targets kernels whose warps are independent within one
 launch (no warp reads memory another warp of the same launch wrote).  All
 bundled workloads satisfy this — it is the usual CUDA contract for kernels
 that do not synchronise across blocks.  Under that envelope the replayed
-event streams are byte-identical to the per-warp loop (asserted by unit,
-property and whole-workload equivalence tests).
+event streams, and the A-DCFGs folded from the columns, are byte-identical
+to the per-warp loop's (asserted by unit, property and whole-workload
+equivalence tests).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -48,8 +52,8 @@ from repro.errors import CohortEnvelopeError
 from repro.gpusim.context import _BALLOT_WEIGHTS, SimtDivergenceError
 from repro.gpusim.events import (
     BasicBlockEvent,
+    ColumnarTraceEvent,
     MemoryAccessEvent,
-    MemoryBatchEvent,
     SyncEvent,
 )
 from repro.gpusim.kernel import LaunchConfig
@@ -192,8 +196,7 @@ class CohortContext:
 
     def __init__(self, launch: LaunchConfig, rows: np.ndarray,
                  block_ids: np.ndarray, warp_ids: np.ndarray,
-                 shared_alloc: Callable, columnar: bool,
-                 journal: WriteJournal,
+                 shared_alloc: Callable, journal: WriteJournal,
                  step_budget: Optional[int] = None,
                  replica_slots: Optional[np.ndarray] = None) -> None:
         self._launch = launch
@@ -206,7 +209,6 @@ class CohortContext:
         self._block_id_col = self._block_ids.reshape(num, 1)
         self._warp_id_col = self._warp_ids.reshape(num, 1)
         self._shared_alloc = shared_alloc
-        self._columnar = columnar
         self._journal = journal
         #: replica slot of each row (replica-cohort batching); ``None``
         #: for an ordinary single-execution cohort
@@ -233,7 +235,8 @@ class CohortContext:
         #: interned basic-block labels (cohort-wide id space)
         self._label_index: Dict[str, int] = {}
         self._labels: List[str] = []
-        #: ordered side-effect records, re-expanded by :meth:`replay_events`
+        #: ordered side-effect records, handed over by :meth:`columns` or
+        #: re-expanded by :meth:`replay_events`
         self._records: List[tuple] = []
 
         # Flat fast path: while control flow has been full-cohort-uniform,
@@ -655,17 +658,15 @@ class CohortContext:
             return np.zeros(self._shape, dtype=flat.dtype)
         if self._flat:
             self._materialize()
-        part = np.flatnonzero(active.any(axis=1))
         if offs is None:
             sel = idx[active]
             buf.check_bounds(sel)
-            addresses = [base + idx[r][active[r]] * itemsize for r in part]
+            addresses = base + sel * itemsize
         else:
             buf.check_bounds(idx[active])
             sel = (idx + offs)[active]
-            addresses = [int(base[r, 0]) + idx[r][active[r]] * itemsize
-                         for r in part]
-        self._record_mem(part, space_value, False, addresses)
+            addresses = (base + idx * itemsize)[active]
+        self._record_mem_masked(space_value, False, addresses)
         out = np.zeros(self._shape, dtype=flat.dtype)
         out[active] = flat[sel]
         return out
@@ -700,17 +701,15 @@ class CohortContext:
             return
         if self._flat:
             self._materialize()
-        part = np.flatnonzero(active.any(axis=1))
         if offs is None:
             sel = idx[active]
             buf.check_bounds(sel)
-            addresses = [base + idx[r][active[r]] * itemsize for r in part]
+            addresses = base + sel * itemsize
         else:
             buf.check_bounds(idx[active])
             sel = (idx + offs)[active]
-            addresses = [int(base[r, 0]) + idx[r][active[r]] * itemsize
-                         for r in part]
-        self._record_mem(part, space_value, True, addresses)
+            addresses = (base + idx * itemsize)[active]
+        self._record_mem_masked(space_value, True, addresses)
         self._journal.capture(buf)
         flat[sel] = vals[active].astype(flat.dtype)
 
@@ -742,17 +741,15 @@ class CohortContext:
             return
         if self._flat:
             self._materialize()
-        part = np.flatnonzero(active.any(axis=1))
         if offs is None:
             sel = idx[active]
             buf.check_bounds(sel)
-            addresses = [base + idx[r][active[r]] * itemsize for r in part]
+            addresses = base + sel * itemsize
         else:
             buf.check_bounds(idx[active])
             sel = (idx + offs)[active]
-            addresses = [int(base[r, 0]) + idx[r][active[r]] * itemsize
-                         for r in part]
-        self._record_mem(part, buf_space, True, addresses)
+            addresses = (base + idx * itemsize)[active]
+        self._record_mem_masked(buf_space, True, addresses)
         self._journal.capture(buf)
         np.add.at(flat, sel, vals[active].astype(flat.dtype))
 
@@ -765,7 +762,7 @@ class CohortContext:
         idx = self._grid(index, np.int64)
         active = self._active
         out = np.zeros(self._shape, dtype=view.dtype)
-        part_list, addresses, chosen = [], [], None
+        part_list, addresses, lanes, chosen = [], [], [], None
         for r in range(self._num):
             act = active[r]
             if not act.any():
@@ -775,12 +772,14 @@ class CohortContext:
             sel = idx[r][act]
             buf.check_bounds(sel)
             addresses.append(buf.base + sel * buf.itemsize)
+            lanes.append(sel.shape[0])
             part_list.append(r)
             out[r][act] = buf.data.reshape(-1)[sel]
         if part_list:
             space_value = (space if space is not None else chosen.space).value
             self._record_mem(np.asarray(part_list, dtype=np.int64),
-                             space_value, False, addresses)
+                             space_value, False, np.concatenate(addresses),
+                             np.asarray(lanes, dtype=np.int64))
         return out
 
     def _shared_store(self, view: CohortSharedView, index, values,
@@ -790,7 +789,7 @@ class CohortContext:
         idx = self._grid(index, np.int64)
         vals = self._grid(values)
         active = self._active
-        part_list, addresses, chosen = [], [], None
+        part_list, addresses, lanes, chosen = [], [], [], None
         for r in range(self._num):
             act = active[r]
             if not act.any():
@@ -800,13 +799,15 @@ class CohortContext:
             sel = idx[r][act]
             buf.check_bounds(sel)
             addresses.append(buf.base + sel * buf.itemsize)
+            lanes.append(sel.shape[0])
             part_list.append(r)
             self._journal.capture(buf)
             buf.data.reshape(-1)[sel] = vals[r][act].astype(buf.data.dtype)
         if part_list:
             space_value = (space if space is not None else chosen.space).value
             self._record_mem(np.asarray(part_list, dtype=np.int64),
-                             space_value, True, addresses)
+                             space_value, True, np.concatenate(addresses),
+                             np.asarray(lanes, dtype=np.int64))
 
     def _shared_atomic_add(self, view: CohortSharedView, index,
                            values) -> None:
@@ -815,7 +816,7 @@ class CohortContext:
         idx = self._grid(index, np.int64)
         vals = self._grid(values)
         active = self._active
-        part_list, addresses, chosen = [], [], None
+        part_list, addresses, lanes, chosen = [], [], [], None
         for r in range(self._num):
             act = active[r]
             if not act.any():
@@ -825,13 +826,16 @@ class CohortContext:
             sel = idx[r][act]
             buf.check_bounds(sel)
             addresses.append(buf.base + sel * buf.itemsize)
+            lanes.append(sel.shape[0])
             part_list.append(r)
             self._journal.capture(buf)
             np.add.at(buf.data.reshape(-1), sel,
                       vals[r][act].astype(buf.data.dtype))
         if part_list:
             self._record_mem(np.asarray(part_list, dtype=np.int64),
-                             chosen.space.value, True, addresses)
+                             chosen.space.value, True,
+                             np.concatenate(addresses),
+                             np.asarray(lanes, dtype=np.int64))
 
     # -- record plumbing ----------------------------------------------
 
@@ -847,160 +851,242 @@ class CohortContext:
                                   addresses))
             self._u_instr += 1
             return
-        part = self._all_rows
-        labels = self._current_label[part]
-        if labels.min() < 0:
-            raise SimtDivergenceError(
-                "memory access outside any basic block: call k.block() first")
-        self._records.append((_MEM, part, labels, self._current_visit[part],
-                              self._instr_ordinal[part], space_value,
-                              is_store, addresses))
-        self._instr_ordinal += 1
+        self._record_mem(self._all_rows, space_value, is_store,
+                         addresses.reshape(-1),
+                         np.full(self._num, WARP_SIZE, dtype=np.int64))
+
+    def _record_mem_masked(self, space_value: int, is_store: bool,
+                           addresses: np.ndarray) -> None:
+        """Record the active lanes' *addresses* (row-major order)."""
+        lanes = self._active.sum(axis=1)
+        part = np.flatnonzero(lanes)
+        self._record_mem(part, space_value, is_store, addresses, lanes[part])
 
     def _record_mem(self, part: np.ndarray, space_value: int,
-                    is_store: bool,
-                    addresses: List[np.ndarray]) -> None:
+                    is_store: bool, addresses: np.ndarray,
+                    lanes: np.ndarray) -> None:
+        """One memory instruction of the *part* rows: row ``part[i]``
+        issued ``lanes[i]`` consecutive entries of the flat *addresses*."""
         labels = self._current_label[part]
         if labels.min() < 0:
             raise SimtDivergenceError(
                 "memory access outside any basic block: call k.block() first")
         self._records.append((_MEM, part, labels, self._current_visit[part],
                               self._instr_ordinal[part], space_value,
-                              is_store, addresses))
+                              is_store, addresses, lanes))
         self._instr_ordinal[part] += 1
 
     # ------------------------------------------------------------------
-    # replay
+    # hand-over: columns for the fold, events for per-event listeners
     # ------------------------------------------------------------------
 
-    def replay_events(self) -> Dict[int, tuple]:
+    @property
+    def replica_slots(self) -> Optional[np.ndarray]:
+        """Replica slot of each row (None outside replica batching)."""
+        return self._replica_slots
+
+    def columns(self, bounds: Optional[Sequence[int]] = None
+                ) -> List[ColumnarTraceEvent]:
+        """The trace of each row range as one :class:`ColumnarTraceEvent`.
+
+        Range *j* is rows ``bounds[j]`` to ``bounds[j + 1] - 1`` (default:
+        one range, every row).  This is what a columnar device hands its
+        monitor: the record list is sliced, never expanded into per-warp
+        event objects.  A fused replica launch passes a block of its
+        slots' row ranges (rows are slot-major), so each slot's columns
+        are folded on their own.  The record list is walked once per call
+        and the ranges are cut from the gathered columns with a stable
+        sort by row, whatever their number.
+        """
+        if bounds is None:
+            bounds = [0, self._num]
+        first, last = bounds[0], bounds[-1]
+        positions = self._rows
+        bb_rows: List[np.ndarray] = []
+        bb_labels: List[int] = []
+        bb_counts: List[int] = []
+        u_meta: List[tuple] = []
+        u_grids: List[np.ndarray] = []
+        d_pieces: List[tuple] = []
+        d_flags: List[tuple] = []
+        d_addrs: List[np.ndarray] = []
+        sync_rows: List[np.ndarray] = []
+        uniform_syncs = 0
+        for record in self._records:
+            tag = record[0]
+            if tag == _MEM_U:
+                u_meta.append(record[1:6])
+                u_grids.append(record[6][first:last])
+            elif tag == _SYNC_U:
+                uniform_syncs += 1
+            elif tag == _SYNC:
+                sync_rows.append(record[1])
+            elif tag == _BB_U:
+                bb_rows.append(self._all_rows[first:last])
+                bb_labels.append(record[1])
+                bb_counts.append(last - first)
+            elif tag == _BB:
+                part = record[1]
+                a, b = part.searchsorted((first, last)).tolist()
+                if a < b:
+                    bb_rows.append(part[a:b])
+                    bb_labels.append(record[2])
+                    bb_counts.append(b - a)
+            elif tag == _MEM:
+                (_, part, lids, visits, instrs, space_value, is_store,
+                 addrs, lanes) = record
+                a, b = part.searchsorted((first, last)).tolist()
+                if a >= b:
+                    continue
+                if a == 0 and b == part.shape[0]:
+                    d_addrs.append(addrs)
+                else:
+                    start = int(lanes[:a].sum())
+                    d_addrs.append(
+                        addrs[start:start + int(lanes[a:b].sum())])
+                d_pieces.append((part[a:b], lids[a:b], visits[a:b],
+                                 instrs[a:b], lanes[a:b]))
+                d_flags.append((space_value, int(is_store), b - a))
+
+        cuts = np.asarray(bounds, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        # block entries, grouped by row in execution order
+        if bb_rows:
+            rows = np.concatenate(bb_rows)
+            order = np.argsort(rows, kind="stable")
+            bb_row = rows[order]
+            bb_label = np.repeat(np.asarray(bb_labels, dtype=np.int64),
+                                 bb_counts)[order]
+        else:
+            bb_row = bb_label = empty
+        bb_at = bb_row.searchsorted(cuts).tolist()
+        # uniform memory records: one row per record and range, addresses
+        # record-major within the range
+        if u_meta:
+            u_cols = [np.asarray(column, dtype=np.int64)
+                      for column in zip(*u_meta)]
+            u_stack = np.stack(u_grids)
+        # per-row memory records, re-ordered by row; their addresses
+        # follow the rows through one segment gather
+        if d_pieces:
+            rows, lids, visits, instrs, lanes = (
+                np.concatenate(column) for column in zip(*d_pieces))
+            spaces, stores, counts = zip(*d_flags)
+            order = np.argsort(rows, kind="stable")
+            lanes_sorted = lanes[order]
+            starts = np.zeros(lanes.shape[0] + 1, dtype=np.int64)
+            np.cumsum(lanes, out=starts[1:])
+            sorted_starts = np.zeros(lanes.shape[0] + 1, dtype=np.int64)
+            np.cumsum(lanes_sorted, out=sorted_starts[1:])
+            gather = (np.repeat(starts[:-1][order] - sorted_starts[:-1],
+                                lanes_sorted)
+                      + np.arange(sorted_starts[-1]))
+            d_addresses = np.concatenate(d_addrs)[gather]
+            d_row = rows[order]
+            d_cols = [lids[order], visits[order], instrs[order],
+                      np.repeat(np.asarray(spaces, dtype=np.int64),
+                                counts)[order],
+                      np.repeat(np.asarray(stores, dtype=np.int64),
+                                counts)[order],
+                      positions[d_row], lanes_sorted]
+            d_at = d_row.searchsorted(cuts).tolist()
+            d_offsets = sorted_starts[d_at].tolist()
+
+        sync_at = (np.sort(np.concatenate(sync_rows)) if sync_rows
+                   else empty).searchsorted(cuts).tolist()
+        labels = tuple(self._labels)
+        events = []
+        for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+            mem: List[List[np.ndarray]] = [[] for _ in range(7)]
+            addresses: List[np.ndarray] = []
+            if u_meta and lo < hi:
+                for parts, column in zip(mem, u_cols):
+                    parts.append(column)
+                mem[5].append(np.full(len(u_meta), positions[hi - 1],
+                                      dtype=np.int64))
+                mem[6].append(np.full(len(u_meta), (hi - lo) * WARP_SIZE,
+                                      dtype=np.int64))
+                addresses.append(
+                    u_stack[:, lo - first:hi - first].reshape(-1))
+            if d_pieces:
+                a, b = d_at[j], d_at[j + 1]
+                for parts, column in zip(mem, d_cols):
+                    parts.append(column[a:b])
+                addresses.append(d_addresses[d_offsets[j]:d_offsets[j + 1]])
+            mem = [np.concatenate(parts).astype(np.int64, copy=False)
+                   if parts else empty for parts in mem]
+            events.append(ColumnarTraceEvent(
+                num_warps=hi - lo, labels=labels,
+                syncs=uniform_syncs * (hi - lo) + sync_at[j + 1] - sync_at[j],
+                bb_warp=bb_row[bb_at[j]:bb_at[j + 1]] - lo,
+                bb_label=bb_label[bb_at[j]:bb_at[j + 1]],
+                mem_label=mem[0], mem_visit=mem[1], mem_instr=mem[2],
+                mem_space=mem[3], mem_store=mem[4], mem_order=mem[5],
+                mem_lanes=mem[6],
+                addresses=(np.concatenate(addresses) if addresses
+                           else empty)))
+        return events
+
+    def replay_events(self) -> Dict[int, List]:
         """Re-expand the record list into per-warp event streams.
 
-        Returns ``{global_schedule_position: (events, batch)}`` for every
-        row of the cohort.  ``events`` is the warp's in-order list of
-        :class:`BasicBlockEvent` / :class:`SyncEvent` (plus
-        :class:`MemoryAccessEvent` when not columnar); ``batch`` is the
-        warp's single :class:`MemoryBatchEvent` (columnar mode, None when
-        the warp issued no memory instruction).  Emitting row streams in
-        schedule order reproduces the per-warp loop's global event stream
-        byte for byte.
+        Returns ``{global_schedule_position: events}`` for every row of
+        the cohort: the warp's in-order :class:`BasicBlockEvent`,
+        :class:`MemoryAccessEvent` and :class:`SyncEvent` stream.  Emitting
+        row streams in schedule order reproduces a per-event
+        (``columnar=False``) device's per-warp loop byte for byte; the
+        tests compare the two engines at this level.
         """
         num = self._num
         labels = self._labels
-        block_ids = self._block_ids
-        warp_ids = self._warp_ids
-        columnar = self._columnar
+        block_ids = self._block_ids.tolist()
+        warp_ids = self._warp_ids.tolist()
         events: List[List] = [[] for _ in range(num)]
-        if columnar:
-            col_label_index: List[Dict[str, int]] = [{} for _ in range(num)]
-            col_labels: List[List[str]] = [[] for _ in range(num)]
-            col_rows: List[List[tuple]] = [[] for _ in range(num)]
-            col_addresses: List[List[np.ndarray]] = [[] for _ in range(num)]
-            # while only uniform memory records have been replayed, every
-            # row's label table is identical, so uniform records can share
-            # one interning step and one row tuple across all rows
-            shared_tables = num > 0
 
         def add_mem(r: int, label: str, visit: int, instr: int,
                     space_value: int, is_store: bool,
                     addresses: np.ndarray) -> None:
-            if columnar:
-                lidx = col_label_index[r].get(label)
-                if lidx is None:
-                    lidx = len(col_labels[r])
-                    col_label_index[r][label] = lidx
-                    col_labels[r].append(label)
-                col_rows[r].append((lidx, visit, instr, space_value,
-                                    is_store))
-                col_addresses[r].append(addresses)
-            else:
-                events[r].append(MemoryAccessEvent.from_array(
-                    block_id=int(block_ids[r]), warp_id=int(warp_ids[r]),
-                    label=label, visit=visit, instr=instr,
-                    space=MemorySpace(space_value), is_store=is_store,
-                    addresses=addresses))
+            events[r].append(MemoryAccessEvent.from_array(
+                block_id=block_ids[r], warp_id=warp_ids[r], label=label,
+                visit=visit, instr=instr, space=MemorySpace(space_value),
+                is_store=is_store, addresses=addresses))
 
         for record in self._records:
             tag = record[0]
             if tag == _BB_U:
                 _, lid, visit = record
-                label = labels[lid]
                 for r in range(num):
                     events[r].append(BasicBlockEvent(
-                        block_id=int(block_ids[r]),
-                        warp_id=int(warp_ids[r]), label=label, visit=visit,
+                        block_id=block_ids[r], warp_id=warp_ids[r],
+                        label=labels[lid], visit=visit,
                         active_lanes=WARP_SIZE))
             elif tag == _MEM_U:
                 _, lid, visit, instr, space_value, is_store, addrs = record
-                label = labels[lid]
-                if columnar and shared_tables:
-                    lidx = col_label_index[0].get(label)
-                    if lidx is None:
-                        lidx = len(col_labels[0])
-                        for r in range(num):
-                            col_label_index[r][label] = lidx
-                            col_labels[r].append(label)
-                    row = (lidx, visit, instr, space_value, is_store)
-                    for r in range(num):
-                        col_rows[r].append(row)
-                        col_addresses[r].append(addrs[r])
-                else:
-                    for r in range(num):
-                        add_mem(r, label, visit, instr, space_value,
-                                is_store, addrs[r])
+                for r in range(num):
+                    add_mem(r, labels[lid], visit, instr, space_value,
+                            is_store, addrs[r])
             elif tag == _BB:
                 _, part, lid, visits, counts = record
-                label = labels[lid]
                 for i in range(part.shape[0]):
                     r = int(part[i])
                     events[r].append(BasicBlockEvent(
-                        block_id=int(block_ids[r]),
-                        warp_id=int(warp_ids[r]), label=label,
-                        visit=int(visits[i]),
+                        block_id=block_ids[r], warp_id=warp_ids[r],
+                        label=labels[lid], visit=int(visits[i]),
                         active_lanes=int(counts[i])))
             elif tag == _MEM:
                 (_, part, lids, visits, instrs, space_value, is_store,
-                 addrs) = record
-                if columnar:
-                    # member rows intern labels the others do not see; the
-                    # per-row tables may diverge from here on
-                    shared_tables = False
+                 addrs, lanes) = record
+                offsets = np.concatenate(([0], np.cumsum(lanes))).tolist()
                 for i in range(part.shape[0]):
-                    r = int(part[i])
-                    add_mem(r, labels[int(lids[i])], int(visits[i]),
-                            int(instrs[i]), space_value, is_store, addrs[i])
+                    add_mem(int(part[i]), labels[int(lids[i])],
+                            int(visits[i]), int(instrs[i]), space_value,
+                            is_store, addrs[offsets[i]:offsets[i + 1]])
             elif tag == _SYNC_U:
                 for r in range(num):
-                    events[r].append(SyncEvent(
-                        block_id=int(block_ids[r]),
-                        warp_id=int(warp_ids[r])))
+                    events[r].append(SyncEvent(block_id=block_ids[r],
+                                               warp_id=warp_ids[r]))
             else:  # _SYNC
-                _, part = record
-                for i in range(part.shape[0]):
-                    r = int(part[i])
-                    events[r].append(SyncEvent(
-                        block_id=int(block_ids[r]),
-                        warp_id=int(warp_ids[r])))
-
-        payloads: Dict[int, tuple] = {}
-        for r in range(num):
-            batch = None
-            if columnar and col_rows[r]:
-                label_ids, visits, instrs, spaces, stores = zip(*col_rows[r])
-                chunks = col_addresses[r]
-                sizes = np.fromiter((chunk.shape[0] for chunk in chunks),
-                                    dtype=np.int64, count=len(chunks))
-                extents = np.zeros(sizes.size + 1, dtype=np.int64)
-                np.cumsum(sizes, out=extents[1:])
-                batch = MemoryBatchEvent(
-                    block_id=int(block_ids[r]), warp_id=int(warp_ids[r]),
-                    labels=tuple(col_labels[r]),
-                    label_ids=np.asarray(label_ids, dtype=np.int32),
-                    visits=np.asarray(visits, dtype=np.int32),
-                    instrs=np.asarray(instrs, dtype=np.int32),
-                    spaces=np.asarray(spaces, dtype=np.uint8),
-                    is_stores=np.asarray(stores, dtype=bool),
-                    addresses=np.concatenate(chunks),
-                    extents=extents)
-            payloads[int(self._rows[r])] = (events[r], batch)
-        return payloads
+                for r in record[1].tolist():
+                    events[r].append(SyncEvent(block_id=block_ids[r],
+                                               warp_id=warp_ids[r]))
+        return {int(self._rows[r]): events[r] for r in range(num)}

@@ -15,7 +15,6 @@ it by construction (there is a test asserting exactly that).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from time import perf_counter
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -79,15 +78,24 @@ class Device:
         self.config = config or DeviceConfig()
         self.memory = DeviceMemory(aslr=self.config.aslr, seed=self.config.seed)
         self._listeners: List[Callable[[TraceEvent], None]] = []
-        self._rng = np.random.default_rng(self.config.seed)
+        self._rng: Optional[np.random.Generator] = None
         self.launch_count = 0
-        #: columnar tracing: warps buffer memory accesses and emit one
-        #: MemoryBatchEvent at retirement instead of per-instruction events
+        #: columnar tracing: per-warp contexts buffer memory accesses and
+        #: emit one MemoryBatchEvent at retirement instead of
+        #: per-instruction events; cohorts emit ColumnarTraceEvents
         self.columnar = columnar
         #: warp-cohort execution: run all warps of a launch in one NumPy
         #: pass (see repro.gpusim.cohort); the per-warp loop stays as the
         #: byte-identical reference path
         self.cohort = cohort
+
+    @property
+    def rng(self) -> np.random.Generator:
+        """The schedule-shuffling stream, created on first use (the
+        seeded stream is the same whenever it starts)."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(self.config.seed)
+        return self._rng
 
     # ------------------------------------------------------------------
     # tracing hook-up
@@ -101,15 +109,13 @@ class Device:
         self._listeners.remove(listener)
 
     def _emit(self, event: TraceEvent) -> None:
-        prof = profiling.profiler()
-        if prof is None:
+        if profiling.profiler() is None:
             for listener in self._listeners:
                 listener(event)
             return
-        started = perf_counter()
-        for listener in self._listeners:
-            listener(event)
-        prof.add("event_emit", perf_counter() - started)
+        with profiling.phase("event_emit"):
+            for listener in self._listeners:
+                listener(event)
 
     # ------------------------------------------------------------------
     # memory convenience
@@ -137,10 +143,11 @@ class Device:
     def launch(self, kern: Kernel, grid, block, *args) -> None:
         """Run *kern* over the grid/block geometry with *args*.
 
-        Emits ``KernelBegin``, the per-warp trace, then ``KernelEnd``.
+        Emits ``KernelBegin``, the launch's trace, then ``KernelEnd``.
         Cohort-enabled devices execute all warps together (one NumPy pass
-        over a ``(num_warps, 32)`` lane grid) and replay the identical
-        per-warp event streams at retirement.
+        over a ``(num_warps, 32)`` lane grid) and hand the trace over as
+        columns (columnar devices) or as the identical per-warp event
+        streams (per-event devices).
         """
         return self.launch_scheduled(kern, grid, block, args)
 
@@ -156,21 +163,10 @@ class Device:
         bypass the schedule/store setup without losing the profiling
         accounting, hence this entry point.
         """
-        prof = profiling.profiler()
-        if prof is None:
+        with profiling.phase("kernel_execute"):
             return self._launch_impl(kern, grid, block, args,
                                      schedule=schedule,
                                      shared_store=shared_store)
-        started = perf_counter()
-        emit_before = prof.get("event_emit")
-        try:
-            return self._launch_impl(kern, grid, block, args,
-                                     schedule=schedule,
-                                     shared_store=shared_store)
-        finally:
-            elapsed = perf_counter() - started
-            emitted = prof.get("event_emit") - emit_before
-            prof.add("kernel_execute", elapsed - emitted)
 
     def _launch_impl(self, kern: Kernel, grid, block, args,
                      schedule=None, shared_store=None) -> None:
@@ -204,7 +200,7 @@ class Device:
                         for b in range(launch.num_blocks)
                         for w in range(launch.warps_per_block)]
             if self.config.shuffle_schedule:
-                self._rng.shuffle(schedule)
+                self.rng.shuffle(schedule)
 
         if self.cohort and kern.cohort and launch.total_warps > 1:
             try:
@@ -248,8 +244,10 @@ class Device:
         The cohort starts as the whole schedule; when warps observably
         disagree (a :class:`CohortSplit` from a collapsed scalar) the
         attempt's memory writes are rolled back and each sub-cohort re-runs
-        from the top.  Completed attempts commit their writes and yield the
-        per-warp event payloads, which are finally emitted in schedule
+        from the top.  Completed attempts commit their writes and hand over
+        their traces: a columnar device emits each attempt's record list
+        as one :class:`~repro.gpusim.events.ColumnarTraceEvent`, a
+        per-event device replays the per-warp event streams in schedule
         order — byte-identical to the per-warp loop.
         """
         fault = fault_injection.cohort_violation_for(self.launch_count - 1)
@@ -264,7 +262,7 @@ class Device:
         warp_ids = np.fromiter((w for _b, w in schedule), dtype=np.int64,
                                count=num)
         pending = [np.arange(num, dtype=np.int64)]
-        payloads: Dict[int, tuple] = {}
+        contexts: List[CohortContext] = []
         # Commits are deferred to launch success: every attempt's journal is
         # retained so an envelope violation raised after some sub-cohorts
         # already completed can still restore pre-launch memory exactly
@@ -287,7 +285,7 @@ class Device:
                 ctx = CohortContext(
                     launch=launch, rows=rows, block_ids=block_ids[rows],
                     warp_ids=warp_ids[rows], shared_alloc=shared_alloc,
-                    columnar=self.columnar, journal=journal,
+                    journal=journal,
                     step_budget=self.config.cohort_step_budget)
                 try:
                     kern(ctx, *args)
@@ -299,16 +297,21 @@ class Device:
                     journal.rollback()
                     raise
                 completed.append(journal)
-                payloads.update(ctx.replay_events())
+                contexts.append(ctx)
         except BaseException:
             for journal in reversed(completed):
                 journal.rollback()
             raise
         for journal in completed:
             journal.commit()
+        if self.columnar:
+            for ctx in contexts:
+                (columns,) = ctx.columns()
+                self._emit(columns)
+            return
+        streams: Dict[int, List[TraceEvent]] = {}
+        for ctx in contexts:
+            streams.update(ctx.replay_events())
         for position in range(num):
-            events, batch = payloads[position]
-            for event in events:
+            for event in streams[position]:
                 self._emit(event)
-            if batch is not None:
-                self._emit(batch)

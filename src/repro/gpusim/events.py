@@ -149,6 +149,42 @@ class MemoryBatchEvent(TraceEvent):
                 addresses=self.addresses[lo:hi])
 
 
+@dataclass(frozen=True, eq=False)
+class ColumnarTraceEvent(TraceEvent):
+    """The trace of a group of warps of one launch as flat columns.
+
+    The cohort engines interpret many warps in one NumPy pass; rather than
+    re-expanding that pass into per-warp events, a columnar device hands
+    the monitor one of these per executed sub-cohort (per replica slot in
+    a fused replica launch).  Warps are numbered ``0..num_warps - 1``
+    within the event; ``labels`` is its basic-block label table.
+
+    * ``bb_warp`` / ``bb_label`` list every basic-block entry, grouped by
+      warp (ascending) and in execution order within a warp;
+    * row *i* of ``mem_label`` / ``mem_visit`` / ``mem_instr`` /
+      ``mem_space`` / ``mem_store`` is one executed memory instruction and
+      its A-DCFG record slot; ``mem_order`` is the issuing warp's schedule
+      position (the later warp's space/store flag wins a slot, as in the
+      per-warp loop); ``mem_lanes[i]`` consecutive entries of
+      ``addresses`` are the row's active-lane byte addresses;
+    * ``syncs`` counts the ``__syncthreads()`` the warps executed.
+    """
+
+    num_warps: int
+    labels: Tuple[str, ...]
+    syncs: int
+    bb_warp: np.ndarray
+    bb_label: np.ndarray
+    mem_label: np.ndarray
+    mem_visit: np.ndarray
+    mem_instr: np.ndarray
+    mem_space: np.ndarray
+    mem_store: np.ndarray
+    mem_order: np.ndarray
+    mem_lanes: np.ndarray
+    addresses: np.ndarray
+
+
 @dataclass(frozen=True)
 class SyncEvent(TraceEvent):
     """A ``__syncthreads()`` executed by a warp (traced, semantically inert

@@ -90,11 +90,15 @@ class MemoryAllocator:
                  heap_base: int = DEFAULT_HEAP_BASE) -> None:
         self._aslr = aslr
         self._heap_base = heap_base
-        self._rng = np.random.default_rng(seed)
+        self._seed = seed
+        self._rng: Optional[np.random.Generator] = None
         self._next: int = 0
         self._allocations: List[Allocation] = []
         self._next_id = 0
         self._lookup_cache: Optional[Tuple] = None
+        #: bumped by every reset: an address resolved in one generation
+        #: may mean something else in the next
+        self.generation = -1
         self.reset()
 
     @property
@@ -109,6 +113,8 @@ class MemoryAllocator:
         """Start a fresh address space (new ASLR slide if enabled)."""
         slide = 0
         if self._aslr:
+            if self._rng is None:
+                self._rng = np.random.default_rng(self._seed)
             # Keep the slide aligned so allocation bases remain aligned.
             slide = int(self._rng.integers(0, ASLR_SLIDE_RANGE))
             slide -= slide % ALLOCATION_ALIGNMENT
@@ -116,6 +122,7 @@ class MemoryAllocator:
         self._allocations = []
         self._next_id = 0
         self._lookup_cache = None
+        self.generation += 1
 
     def allocate(self, size: int, space: MemorySpace = MemorySpace.GLOBAL,
                  label: str = "") -> Allocation:
@@ -314,3 +321,8 @@ class DeviceMemory:
     def resolve_batch(self, addresses: np.ndarray
                       ) -> Tuple[List[Allocation], np.ndarray, np.ndarray]:
         return self._allocator.resolve_batch(addresses)
+
+    @property
+    def generation(self) -> int:
+        """The allocator's reset generation (see :meth:`reset`)."""
+        return self._allocator.generation

@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.adcfg.table import LABELS, OFFSET_BITS
 from repro.gpusim.memory import AllocationError, DeviceMemory
 from repro.host.runtime import LaunchRecord, MallocRecord
 
@@ -40,17 +41,21 @@ class HostTracer:
         self._memory = memory
         self.malloc_records: List[MallocRecord] = []
         self.launch_records: List[LaunchRecord] = []
-        # address -> (label, offset) memo for normalize_keys.  Stable for
-        # the tracer's whole session: the bump allocator never frees or
-        # moves an allocation, so a resolved address cannot change meaning.
+        # address -> (label, offset) memo for normalize_keys, and the
+        # allocation-index -> interned-label-id array of normalize_key_ids.
+        # Within one allocator generation the bump allocator never frees
+        # or moves an allocation, so a resolved address keeps its meaning;
+        # a reset (Device.reset) starts a new generation and drops both.
+        self._memo_generation = memory.generation
         self._key_cache: Dict[int, Tuple[str, int]] = {}
-        # interned allocation labels and packed-key memo for
-        # normalize_key_ids (same session-stability argument)
-        self._label_ids: Dict[str, int] = {}
-        self._labels_by_id: List[str] = []
         self._label_id_arr = np.empty(0, dtype=np.int64)
-        self._label_table_len = 0
-        self._packed_keys: Dict[int, Tuple[str, int]] = {}
+
+    def _drop_stale_memos(self) -> None:
+        generation = self._memory.generation
+        if generation != self._memo_generation:
+            self._memo_generation = generation
+            self._key_cache = {}
+            self._label_id_arr = np.empty(0, dtype=np.int64)
 
     # ------------------------------------------------------------------
     # runtime callbacks
@@ -102,6 +107,7 @@ class HostTracer:
         :class:`~repro.gpusim.memory.AllocationError` for any address
         outside every recorded allocation.
         """
+        self._drop_stale_memos()
         cache = self._key_cache
         addr_list = addresses.tolist()
         keys = [cache.get(address) for address in addr_list]
@@ -115,52 +121,29 @@ class HostTracer:
                 keys[pos] = cache[addr_list[pos]] = (labels[i], o)
         return keys
 
-    #: offsets are packed into the low bits of a normalised-key id; any
-    #: allocation bigger than 2**40 bytes falls back to the tuple path
-    _OFFSET_BITS = 40
-
     def normalize_key_ids(self, addresses: np.ndarray
-                          ) -> Optional[Tuple[np.ndarray, List[Tuple[str, int]]]]:
-        """Map an address array to interned normalised-key ids.
+                          ) -> Optional[np.ndarray]:
+        """Map an address array to packed normalised-key ids.
 
-        Returns ``(key_ids, keys)`` where ``keys[key_ids[i]]`` is
-        ``addresses[i]``'s normalised key, or None when the packed-id
-        representation cannot hold the offsets (absurdly large
-        allocations).  Unlike :meth:`normalize_keys` this never walks the
-        addresses in Python: resolution is one ``searchsorted``, aliases
-        collapse through one ``np.unique`` over packed
-        ``(label id, offset)`` integers, and only the distinct keys of the
-        call are materialised as tuples (memoised across calls).  Ids are
-        call-local; aliased raw addresses — the same shared-memory offset
-        in two blocks — share an id exactly as they share a key.
+        Returns ``label_id << 40 | offset`` per address, where ``label_id``
+        is the allocation label's id in the shared
+        :data:`~repro.adcfg.table.LABELS` interner — the integer form of
+        :meth:`normalize_keys`'s ``(label, offset)`` tuples, equal
+        whenever the tuples are, across runs and sessions — or None when
+        an offset does not fit in 40 bits.  Resolution is one
+        ``searchsorted``; no tuple is built.  Raises
+        :class:`~repro.gpusim.memory.AllocationError` like
+        :meth:`normalize_keys`.
         """
         allocs, indices, offsets = self._memory.resolve_batch(addresses)
-        if len(allocs) != self._label_table_len:
-            ids = []
-            for alloc in allocs:
-                lid = self._label_ids.get(alloc.label)
-                if lid is None:
-                    lid = self._label_ids[alloc.label] = len(self._labels_by_id)
-                    self._labels_by_id.append(alloc.label)
-                ids.append(lid)
-            self._label_id_arr = np.asarray(ids, dtype=np.int64)
-            self._label_table_len = len(allocs)
-        if offsets.size and int(offsets.max()) >= (1 << self._OFFSET_BITS):
+        self._drop_stale_memos()
+        if self._label_id_arr.shape[0] != len(allocs):
+            # allocations only ever append within a generation
+            self._label_id_arr = LABELS.intern_all(
+                [alloc.label for alloc in allocs])
+        if offsets.size and int(offsets.max()) >> OFFSET_BITS:
             return None
-        packed = ((self._label_id_arr[indices] << self._OFFSET_BITS)
-                  | offsets)
-        uniq, inv = np.unique(packed, return_inverse=True)
-        cache = self._packed_keys
-        labels = self._labels_by_id
-        mask = (1 << self._OFFSET_BITS) - 1
-        keys = []
-        for value in uniq.tolist():
-            key = cache.get(value)
-            if key is None:
-                key = cache[value] = (labels[value >> self._OFFSET_BITS],
-                                      value & mask)
-            keys.append(key)
-        return inv, keys
+        return (self._label_id_arr[indices] << OFFSET_BITS) | offsets
 
     def malloc_trace_bytes(self) -> int:
         """Serialised size of all allocation records (Fig. 5 series)."""

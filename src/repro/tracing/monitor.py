@@ -1,25 +1,26 @@
-"""The host-side monitor that turns warp events into A-DCFGs.
+"""The host-side monitor that turns the device trace into A-DCFG tables.
 
 Per §V-C of the paper, the monitor identifies warps by the pair
 *(block id, warp id)* — warp ids alone are only unique within a block — and
-maintains each warp's trace context.  Basic-block events are folded
-straight into the current invocation's
-:class:`~repro.adcfg.builder.ADCFGBuilder` and each warp's columnar memory
-batch is buffered there for one kernel-wide fold at the launch's end, so
-per-thread data never accumulates.
+maintains each warp's trace context.  Every trace event of a launch —
+per-warp basic-block events and memory batches from the reference engine,
+or a cohort's :class:`~repro.gpusim.events.ColumnarTraceEvent` columns —
+is buffered in the current invocation's
+:class:`~repro.adcfg.builder.ADCFGBuilder` and folded once, kernel-wide,
+at the launch's end, so per-thread data never accumulates.
 """
 
 from __future__ import annotations
 
-from time import perf_counter
 from typing import List, Optional
 
 from repro import profiling
 from repro.adcfg.builder import ADCFGBuilder, BatchNormalizer, KeyIdNormalizer
-from repro.adcfg.graph import ADCFG
+from repro.adcfg.table import ADCFGTable
 from repro.errors import TraceError
 from repro.gpusim.events import (
     BasicBlockEvent,
+    ColumnarTraceEvent,
     KernelBeginEvent,
     KernelEndEvent,
     MemoryBatchEvent,
@@ -47,7 +48,7 @@ class WarpTraceMonitor:
         self._key_id_normalizer = key_id_normalizer
         self._pending_identity: Optional[str] = None
         self._builder: Optional[ADCFGBuilder] = None
-        self.completed: List[ADCFG] = []
+        self.completed: List[ADCFGTable] = []
         self.sync_events = 0
 
     def expect_kernel(self, identity: str) -> None:
@@ -59,15 +60,11 @@ class WarpTraceMonitor:
     # ------------------------------------------------------------------
 
     def on_event(self, event: TraceEvent) -> None:
-        profiler = profiling.profiler()
-        if profiler is not None:
-            started = perf_counter()
-            try:
-                self._dispatch(event)
-            finally:
-                profiler.add("adcfg_fold", perf_counter() - started)
+        if profiling.profiler() is None:
+            self._dispatch(event)
             return
-        self._dispatch(event)
+        with profiling.phase("adcfg_fold"):
+            self._dispatch(event)
 
     def _dispatch(self, event: TraceEvent) -> None:
         if isinstance(event, KernelBeginEvent):
@@ -76,6 +73,9 @@ class WarpTraceMonitor:
             self._end(event)
         elif isinstance(event, BasicBlockEvent):
             self._require_builder().on_basic_block(event)
+        elif isinstance(event, ColumnarTraceEvent):
+            self._require_builder().on_columns(event)
+            self.sync_events += event.syncs
         elif isinstance(event, MemoryBatchEvent):
             self._require_builder().on_memory_batch(event)
         elif isinstance(event, SyncEvent):
@@ -98,21 +98,27 @@ class WarpTraceMonitor:
 
     def _end(self, event: KernelEndEvent) -> None:
         builder = self._require_builder()
-        if builder.graph.kernel_name != event.kernel_name:
+        if builder.kernel_name != event.kernel_name:
             raise MonitorError(
                 f"kernel end for {event.kernel_name!r} does not match the "
-                f"active launch {builder.graph.kernel_name!r}")
+                f"active launch {builder.kernel_name!r}")
         self.completed.append(builder.finish())
         self._builder = None
+
+    @property
+    def active_builder(self) -> Optional[ADCFGBuilder]:
+        """The builder of the launch in progress (None between launches)."""
+        return self._builder
 
     def _require_builder(self) -> ADCFGBuilder:
         if self._builder is None:
             raise MonitorError("device event outside any kernel launch")
         return self._builder
 
-    def finish(self) -> List[ADCFG]:
-        """Return all completed invocation graphs; the stream must be closed."""
+    def finish(self) -> List[ADCFGTable]:
+        """Return all completed invocation tables; the stream must be
+        closed."""
         if self._builder is not None:
             raise MonitorError(
-                f"kernel {self._builder.graph.kernel_name!r} never ended")
+                f"kernel {self._builder.kernel_name!r} never ended")
         return self.completed

@@ -9,8 +9,8 @@ execution:
    :class:`~repro.host.tracer.HostTracer` capturing malloc/launch records
    and providing address normalisation;
 3. an NVBit-like :class:`~repro.tracing.channel.Channel` feeding a
-   :class:`~repro.tracing.monitor.WarpTraceMonitor` that folds warp events
-   into one A-DCFG per kernel invocation.
+   :class:`~repro.tracing.monitor.WarpTraceMonitor` that folds the device
+   trace into one A-DCFG table per kernel invocation.
 
 A *program under test* is any callable ``program(rt, value)`` that drives
 the :class:`~repro.host.runtime.CudaRuntime` — the same shape as a CUDA
@@ -20,11 +20,11 @@ the :class:`~repro.host.runtime.CudaRuntime` — the same shape as a CUDA
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.adcfg.graph import ADCFG
 from repro.adcfg.serialize import adcfg_size_bytes, serialize_adcfg
+from repro.adcfg.table import ADCFGTable
 from repro.errors import TraceError
 from repro.gpusim.device import Device, DeviceConfig
 from repro.host.callstack import current_stack_depth
@@ -41,20 +41,72 @@ class RecordingError(TraceError):
     """Raised when host and device observations cannot be joined."""
 
 
-@dataclass
 class KernelInvocation:
-    """One kernel launch: host identity joined with its device A-DCFG."""
+    """One kernel launch: host identity joined with its device A-DCFG.
 
-    identity: str
-    kernel_name: str
-    seq: int
-    grid: Tuple[int, int, int]
-    block: Tuple[int, int, int]
-    adcfg: ADCFG
+    The recorder hands over the fold's
+    :class:`~repro.adcfg.table.ADCFGTable`; the object graph is
+    materialised on first access of :attr:`adcfg` (signatures, the store,
+    reports).  A deserialised invocation starts from the graph instead
+    and derives the table when evidence needs it.  Either form is treated
+    as immutable once recorded.
+    """
+
+    def __init__(self, identity: str, kernel_name: str, seq: int,
+                 grid: Tuple[int, int, int], block: Tuple[int, int, int],
+                 adcfg: Optional[ADCFG] = None,
+                 table: Optional[ADCFGTable] = None) -> None:
+        if adcfg is None and table is None:
+            raise ValueError("a kernel invocation needs an A-DCFG")
+        self.identity = identity
+        self.kernel_name = kernel_name
+        self.seq = seq
+        self.grid = grid
+        self.block = block
+        self._adcfg = adcfg
+        self._table = table
+
+    @property
+    def adcfg(self) -> ADCFG:
+        if self._adcfg is None:
+            self._adcfg = self._table.to_graph()
+        return self._adcfg
+
+    @property
+    def table(self) -> ADCFGTable:
+        if self._table is None:
+            self._table = ADCFGTable.from_graph(self._adcfg)
+        return self._table
 
     @property
     def total_threads(self) -> int:
-        return self.adcfg.total_threads
+        return (self._table.total_threads if self._table is not None
+                else self._adcfg.total_threads)
+
+    def size_bytes(self) -> int:
+        """Serialised size of the A-DCFG (from the table when there is
+        one: no graph is built just to be measured)."""
+        if self._table is not None:
+            return self._table.size_bytes()
+        return adcfg_size_bytes(self._adcfg)
+
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        if state["_table"] is not None:
+            state["_adcfg"] = None  # derivable; ship the compact form
+        return state
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KernelInvocation):
+            return NotImplemented
+        return ((self.identity, self.kernel_name, self.seq, self.grid,
+                 self.block) == (other.identity, other.kernel_name,
+                                 other.seq, other.grid, other.block)
+                and self.adcfg == other.adcfg)
+
+    def __repr__(self) -> str:
+        return (f"KernelInvocation({self.identity!r}, seq={self.seq}, "
+                f"grid={self.grid}, block={self.block})")
 
 
 class ProgramTrace:
@@ -79,7 +131,7 @@ class ProgramTrace:
     # ------------------------------------------------------------------
 
     def adcfg_bytes(self) -> int:
-        return sum(adcfg_size_bytes(inv.adcfg) for inv in self.invocations)
+        return sum(inv.size_bytes() for inv in self.invocations)
 
     def malloc_bytes(self) -> int:
         return sum(r.size_bytes() for r in self.malloc_records)
@@ -91,9 +143,9 @@ class ProgramTrace:
         """Total serialised trace footprint.
 
         Memoised like :meth:`signature` (a trace is immutable once
-        recorded): sizing serialises every A-DCFG, and the recording
-        pool's accounting asks per run while replica batching shares one
-        trace object across its deduplicated runs.
+        recorded): the recording pool's accounting asks per run while
+        replica batching shares one trace object across its deduplicated
+        runs.  Sizes come from the invocations' table cardinalities.
         """
         if self._size_bytes is None:
             self._size_bytes = (self.adcfg_bytes() + self.malloc_bytes()
@@ -133,6 +185,26 @@ class ProgramTrace:
                 f"size={self.trace_size_bytes()}B)")
 
 
+def join_trace(tracer: HostTracer, monitor: WarpTraceMonitor
+               ) -> ProgramTrace:
+    """Join one session's host records with its device A-DCFG tables."""
+    tables = monitor.finish()
+    launches = tracer.launch_records
+    if len(tables) != len(launches):
+        raise RecordingError(
+            f"host saw {len(launches)} launches but device produced "
+            f"{len(tables)} kernel traces")
+    invocations = [
+        KernelInvocation(identity=launch.identity,
+                         kernel_name=launch.kernel_name, seq=launch.seq,
+                         grid=launch.grid, block=launch.block, table=table)
+        for launch, table in zip(launches, tables)
+    ]
+    return ProgramTrace(invocations=invocations,
+                        malloc_records=list(tracer.malloc_records),
+                        launch_records=list(launches))
+
+
 class _IdentityQueue:
     """Monitor stand-in for buffered mode: queues launch identities so they
     can be replayed in order when the channel drains."""
@@ -170,17 +242,18 @@ class TraceRecorder:
     traces (asserted in the tests); buffered mode additionally exercises
     the transport's ordering guarantees.
 
-    Warps buffer their memory accesses and ship one
-    :class:`~repro.gpusim.events.MemoryBatchEvent` each through the
-    channel; addresses are normalised to interned key ids in one
-    vectorised pass and the A-DCFG is folded in bulk per kernel.
+    The device ships each launch's trace through the channel in columnar
+    form; addresses are normalised to interned key ids in one vectorised
+    pass and each invocation is folded in bulk into an
+    :class:`~repro.adcfg.table.ADCFGTable`.
 
     ``cohort=True`` (the default) executes every warp of a launch in one
     NumPy pass over a ``(num_warps, 32)`` lane grid
-    (:mod:`repro.gpusim.cohort`) and replays the identical per-warp event
-    streams at retirement.  ``cohort=False`` runs the per-warp execution
-    loop: the semantic oracle the tests and the golden-digest generator
-    check the cohort and replica engines against.
+    (:mod:`repro.gpusim.cohort`) and hands the pass's record list to the
+    monitor as columns.  ``cohort=False`` runs the per-warp execution
+    loop, whose events feed the same fold: the semantic oracle the tests
+    and the golden-digest generator check the cohort and replica engines
+    against.
     """
 
     def __init__(self, device_config: Optional[DeviceConfig] = None,
@@ -229,22 +302,7 @@ class TraceRecorder:
                     monitor.expect_kernel(next(identities, event.kernel_name))
                 monitor.on_event(event)
 
-        graphs = monitor.finish()
-        launches = tracer.launch_records
-        if len(graphs) != len(launches):
-            raise RecordingError(
-                f"host saw {len(launches)} launches but device produced "
-                f"{len(graphs)} kernel traces")
-        invocations = [
-            KernelInvocation(identity=launch.identity,
-                             kernel_name=launch.kernel_name, seq=launch.seq,
-                             grid=launch.grid, block=launch.block,
-                             adcfg=graph)
-            for launch, graph in zip(launches, graphs)
-        ]
-        return ProgramTrace(invocations=invocations,
-                            malloc_records=list(tracer.malloc_records),
-                            launch_records=list(launches))
+        return join_trace(tracer, monitor)
 
     def record_many(self, program: Program,
                     values: Sequence[object]) -> List[ProgramTrace]:

@@ -19,8 +19,9 @@ layers:
    NumPy interpretation of the kernel body is shared.  Divergent control
    flow between replicas is handled by the cohort engine's existing
    sub-cohort splitting + :class:`~repro.gpusim.memory.WriteJournal`
-   rollback, and :meth:`CohortContext.replay_events` re-expands
-   byte-identical per-run event streams — evidence, store fingerprints
+   rollback.  Each replica's rows of the grid are handed to its own
+   monitor as columns (:meth:`CohortContext.columns`) and folded into
+   byte-identical per-run A-DCFG tables — evidence, store fingerprints
    and degradation ladders are untouched.
 
 Equivalence envelope
@@ -43,6 +44,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro import profiling
 from repro.errors import CohortEnvelopeError
 from repro.gpusim.cohort import CohortContext, CohortSplit, ReplicaBuffer
 from repro.gpusim.context import SimtDivergenceError
@@ -59,11 +61,15 @@ from repro.tracing.monitor import WarpTraceMonitor
 from repro.tracing.recorder import (
     Program,
     ProgramTrace,
-    RecordingError,
     TraceRecorder,
-    KernelInvocation,
     _SessionTracer,
+    join_trace,
 )
+
+
+#: replica slots whose columns are cut from the lane grid and folded in
+#: one pass
+_SLOTS_PER_FOLD = 16
 
 
 class _ReplicaAbort(BaseException):
@@ -175,7 +181,7 @@ class _ReplicaDevice(Device):
                     for b in range(launch.num_blocks)
                     for w in range(launch.warps_per_block)]
         if self.config.shuffle_schedule:
-            self._rng.shuffle(schedule)
+            self.rng.shuffle(schedule)
         self._session.park_at_launch(kern, grid, block, args, launch,
                                      schedule)
 
@@ -276,22 +282,7 @@ class _ReplicaSession:
 
     def finish_trace(self) -> ProgramTrace:
         """Join host and device observations, as the serial recorder does."""
-        graphs = self.monitor.finish()
-        launches = self.tracer.launch_records
-        if len(graphs) != len(launches):
-            raise RecordingError(
-                f"host saw {len(launches)} launches but device produced "
-                f"{len(graphs)} kernel traces")
-        invocations = [
-            KernelInvocation(identity=launch.identity,
-                             kernel_name=launch.kernel_name, seq=launch.seq,
-                             grid=launch.grid, block=launch.block,
-                             adcfg=graph)
-            for launch, graph in zip(launches, graphs)
-        ]
-        return ProgramTrace(invocations=invocations,
-                            malloc_records=list(self.tracer.malloc_records),
-                            launch_records=list(launches))
+        return join_trace(self.tracer, self.monitor)
 
 
 # ----------------------------------------------------------------------
@@ -444,21 +435,8 @@ class _ReplicaCohortEngine:
 
     def _execute_fused(self, group: List["_ReplicaSession"],
                        shared_stores: List[dict]) -> None:
-        from time import perf_counter
-
-        from repro import profiling
-
-        prof = profiling.profiler()
-        if prof is None:
-            return self._execute_fused_impl(group, shared_stores)
-        started = perf_counter()
-        emit_before = prof.get("event_emit")
-        try:
-            return self._execute_fused_impl(group, shared_stores)
-        finally:
-            elapsed = perf_counter() - started
-            emitted = prof.get("event_emit") - emit_before
-            prof.add("kernel_execute", elapsed - emitted)
+        with profiling.phase("kernel_execute"):
+            self._execute_fused_impl(group, shared_stores)
 
     def _execute_fused_impl(self, group: List["_ReplicaSession"],
                             shared_stores: List[dict]) -> None:
@@ -519,7 +497,7 @@ class _ReplicaCohortEngine:
         slots = np.repeat(np.arange(replicas, dtype=np.int64), warps)
 
         rows_pending = [np.arange(num, dtype=np.int64)]
-        payloads: Dict[int, tuple] = {}
+        contexts: List[CohortContext] = []
         completed: List[WriteJournal] = []
         attempts = 0
         try:
@@ -534,7 +512,7 @@ class _ReplicaCohortEngine:
                 ctx = CohortContext(
                     launch=launch, rows=rows, block_ids=block_ids[rows],
                     warp_ids=warp_ids[rows], shared_alloc=shared_alloc,
-                    columnar=True, journal=journal,
+                    journal=journal,
                     step_budget=self._config.cohort_step_budget,
                     replica_slots=slots[rows])
                 try:
@@ -548,7 +526,7 @@ class _ReplicaCohortEngine:
                     journal.rollback()
                     raise
                 completed.append(journal)
-                payloads.update(ctx.replay_events())
+                contexts.append(ctx)
         except BaseException:
             for journal in reversed(completed):
                 journal.rollback()
@@ -558,22 +536,36 @@ class _ReplicaCohortEngine:
         for fused in fused_cache.values():
             fused.writeback()
 
-        # retire per member, in slot order: each session's monitor sees
-        # exactly the event stream its own serial launch would produce
-        for slot, session in enumerate(group):
-            device = session.device
-            device.launch_count += 1
-            device._emit(KernelBeginEvent(
-                kernel_name=kern.name, grid=launch.grid,
-                block=launch.block, total_threads=launch.total_threads,
-                num_warps=launch.total_warps))
-            for position in range(warps):
-                events, batch = payloads[slot * warps + position]
-                for event in events:
-                    device._emit(event)
-                if batch is not None:
-                    device._emit(batch)
-            device._emit(KernelEndEvent(kernel_name=kern.name))
+        # retire per member, in slot order.  Each session's monitor gets
+        # its slot's rows of every completed attempt as columns (rows are
+        # slot-major, so a slot's rows are one contiguous range); a
+        # bounded block of slots is cut from the grid and folded in one
+        # pass, so at most that many slots' copies of the addresses exist
+        # at once and NumPy's per-call cost is paid once per block
+        bounds = [np.searchsorted(ctx.replica_slots,
+                                  np.arange(replicas + 1)).tolist()
+                  for ctx in contexts]
+        for first in range(0, replicas, _SLOTS_PER_FOLD):
+            block = range(first, min(replicas, first + _SLOTS_PER_FOLD))
+            with profiling.phase("adcfg_fold"):
+                cut = [ctx.columns(bound[block.start:block.stop + 1])
+                       for ctx, bound in zip(contexts, bounds)]
+            for slot in block:
+                device = group[slot].device
+                device.launch_count += 1
+                device._emit(KernelBeginEvent(
+                    kernel_name=kern.name, grid=launch.grid,
+                    block=launch.block, total_threads=launch.total_threads,
+                    num_warps=launch.total_warps))
+                for events in cut:
+                    if events[slot - first].num_warps:
+                        device._emit(events[slot - first])
+            del cut
+            builders = [group[slot].monitor.active_builder for slot in block]
+            with profiling.phase("adcfg_fold"):
+                builders[0].fold_pending_batches(builders[1:])
+            for slot in block:
+                group[slot].device._emit(KernelEndEvent(kernel_name=kern.name))
         self.stats.fused_groups += 1
         self.stats.fused_launches += replicas
 

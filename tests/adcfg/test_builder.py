@@ -34,7 +34,7 @@ def build(events, **kwargs):
             builder.on_basic_block(event)
         else:
             builder.on_memory_batch(event)
-    return builder.finish()
+    return builder.finish().to_graph()
 
 
 class TestControlFlowFolding:
@@ -139,10 +139,11 @@ class TestFinish:
     def test_finish_adds_end_edges_once(self):
         builder = ADCFGBuilder("k@1")
         builder.on_basic_block(bb("a"))
-        graph = builder.finish()
+        graph = builder.finish().to_graph()
         assert graph.edges[("a", END_LABEL)].count == 1
         # finish() clears warp state: calling again adds nothing
-        assert builder.finish().edges[("a", END_LABEL)].count == 1
+        assert builder.finish().to_graph().edges[
+            ("a", END_LABEL)].count == 1
 
     def test_end_edge_prev_points_at_penultimate_block(self):
         graph = build([bb("a"), bb("b")])
@@ -151,6 +152,6 @@ class TestFinish:
     def test_metadata_carried(self):
         builder = ADCFGBuilder("k@1", kernel_name="k", total_threads=96,
                                num_warps=3)
-        graph = builder.finish()
+        graph = builder.finish().to_graph()
         assert graph.total_threads == 96
         assert graph.num_warps == 3

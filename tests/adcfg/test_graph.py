@@ -1,7 +1,5 @@
 """A-DCFG node/edge/graph data-structure tests."""
 
-import pytest
-
 from repro.adcfg.graph import ADCFG, END_LABEL, START_LABEL, Edge, MemoryRecord, Node
 
 
@@ -10,12 +8,6 @@ class TestMemoryRecord:
         record = MemoryRecord()
         record.add([("buf", 0), ("buf", 0), ("buf", 8)])
         assert record.counts == {("buf", 0): 2, ("buf", 8): 1}
-
-    def test_merge_sums(self):
-        first = MemoryRecord(counts={("b", 0): 1, ("b", 8): 2})
-        second = MemoryRecord(counts={("b", 8): 3, ("b", 16): 1})
-        first.merge(second)
-        assert first.counts == {("b", 0): 1, ("b", 8): 5, ("b", 16): 1}
 
     def test_totals(self):
         record = MemoryRecord(counts={("b", 0): 2, ("b", 8): 3})
@@ -87,17 +79,6 @@ class TestEdge:
         edge.record(prev_src="x")
         assert edge.count == 3
         assert edge.prev_counts == {START_LABEL: 1, "x": 2}
-
-    def test_merge_compatible(self):
-        first = Edge(src="a", dst="b", count=2, prev_counts={"x": 2})
-        second = Edge(src="a", dst="b", count=1, prev_counts={"y": 1})
-        first.merge(second)
-        assert first.count == 3
-        assert first.prev_counts == {"x": 2, "y": 1}
-
-    def test_merge_mismatched_endpoints(self):
-        with pytest.raises(ValueError):
-            Edge(src="a", dst="b").merge(Edge(src="a", dst="c"))
 
 
 class TestADCFG:

@@ -113,7 +113,7 @@ class TestCohortSplitting:
         ctx = CohortContext(
             launch=launch, rows=np.arange(4), block_ids=np.arange(4),
             warp_ids=np.zeros(4, dtype=np.int64), shared_alloc=None,
-            columnar=False, journal=WriteJournal())
+            journal=WriteJournal())
         with pytest.raises(CohortSplit) as exc:
             ctx.uniform(ctx.block_id % 2)
         groups = exc.value.groups
@@ -127,7 +127,7 @@ class TestCohortSplitting:
         ctx = CohortContext(
             launch=launch, rows=np.arange(2), block_ids=np.arange(2),
             warp_ids=np.zeros(2, dtype=np.int64), shared_alloc=None,
-            columnar=False, journal=WriteJournal())
+            journal=WriteJournal())
         with pytest.raises(SimtDivergenceError):
             ctx.uniform(ctx.lane)
 

@@ -3,8 +3,9 @@
 Hypothesis draws a kernel shape — grid size, (possibly partial) block
 size, per-block loop trip counts, a lane-divergence threshold and a small
 program of memory/sync/vote operations — plus a device schedule, and the
-property asserts the cohort engine's event stream, memory state and trace
-signature are byte-identical to the per-warp reference loop.
+property asserts the cohort engine's event stream (or, on a columnar
+device, its folded A-DCFG), memory state and trace signature are
+byte-identical to the per-warp reference loop.
 
 The toy kernels follow the engine's equivalence envelope (DESIGN.md §10),
 which is ordinary race-free CUDA: plain stores hit thread-disjoint cells,
@@ -18,9 +19,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.adcfg.serialize import serialize_adcfg
 from repro.gpusim import Device, DeviceConfig, kernel
-from repro.gpusim.events import MemoryBatchEvent
+from repro.gpusim.events import BasicBlockEvent, MemoryBatchEvent
 from repro.gpusim.warp import WARP_SIZE
+from repro.tracing.monitor import WarpTraceMonitor
 
 #: Large enough that every thread owns a private cell (max 4 blocks × 96
 #: threads); stores stay thread-disjoint, the race-free CUDA discipline.
@@ -103,18 +106,27 @@ def test_cohort_matches_per_warp_events_and_memory(spec, device_spec):
 
 @settings(max_examples=20, deadline=None)
 @given(spec=kernel_spec_st, device_spec=device_spec_st)
-def test_cohort_matches_per_warp_columnar_batches(spec, device_spec):
-    def expanded(cohort):
+def test_cohort_columns_fold_like_per_warp_batches(spec, device_spec):
+    """A columnar cohort device hands its record list over as columns
+    instead of per-warp batches; folded by the same monitor, both give
+    the same A-DCFG byte for byte."""
+    def folded(cohort):
         events, data, acc = run(spec, device_spec, cohort, columnar=True)
-        flat = [event
-                for e in events
-                for event in (e.iter_events()
-                              if isinstance(e, MemoryBatchEvent) else [e])]
-        return flat, data, acc
+        monitor = WarpTraceMonitor()
+        for event in events:
+            monitor.on_event(event)
+        (table,) = monitor.finish()
+        kinds = {type(event) for event in events}
+        return ((serialize_adcfg(table.to_graph()), monitor.sync_events),
+                kinds, data, acc)
 
-    ref_events, ref_data, ref_acc = expanded(cohort=False)
-    coh_events, coh_data, coh_acc = expanded(cohort=True)
-    assert coh_events == ref_events
+    ref_trace, ref_kinds, ref_data, ref_acc = folded(cohort=False)
+    coh_trace, coh_kinds, coh_data, coh_acc = folded(cohort=True)
+    assert coh_trace == ref_trace
+    warps = spec["grid"] * -(-spec["block"] // WARP_SIZE)
+    if warps > 1:  # single-warp launches run on the per-warp loop
+        assert MemoryBatchEvent not in coh_kinds
+        assert BasicBlockEvent not in coh_kinds
     assert (coh_data == ref_data).all()
     assert (coh_acc == ref_acc).all()
 

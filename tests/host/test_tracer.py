@@ -161,6 +161,32 @@ class TestBatchNormalization:
             tracer.normalize_keys(np.array([address], dtype=np.int64))
 
 
+class TestDeviceReset:
+    """A reset reuses the address space: memoised resolutions of the old
+    layout must not leak into the new one."""
+
+    def test_reset_invalidates_memoised_keys(self):
+        from repro.adcfg.table import LABELS
+
+        device = Device()
+        rt = CudaRuntime(device)
+        tracer = HostTracer(device.memory)
+        rt.attach_tracer(tracer)
+        alpha = rt.cudaMalloc(64, label="alpha")
+        address = np.array([alpha.base], dtype=np.int64)
+        assert tracer.normalize_keys(address) == [("alpha", 0)]
+        assert LABELS.strings[int(tracer.normalize_key_ids(address)[0])
+                              >> 40] == "alpha"
+
+        device.reset()
+        beta = rt.cudaMalloc(64, label="beta")
+        assert beta.base == alpha.base  # the same address, a new meaning
+        assert tracer.normalize(beta.base).as_key() == ("beta", 0)
+        assert tracer.normalize_keys(address) == [("beta", 0)]
+        key_id = int(tracer.normalize_key_ids(address)[0])
+        assert (LABELS.strings[key_id >> 40], key_id & 0xFF) == ("beta", 0)
+
+
 class TestLaunchSequence:
     def test_sequence_is_ordered_identities(self):
         @kernel()

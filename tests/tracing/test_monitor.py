@@ -85,7 +85,7 @@ class TestGraphProduction:
         monitor.expect_kernel("k@site1")
         monitor.on_event(begin())
         monitor.on_event(KernelEndEvent(kernel_name="k"))
-        graph = monitor.finish()[0]
+        graph = monitor.finish()[0].to_graph()
         assert graph.kernel_identity == "k@site1"
         assert graph.kernel_name == "k"
 
@@ -93,7 +93,7 @@ class TestGraphProduction:
         monitor = WarpTraceMonitor()
         monitor.on_event(begin("plain"))
         monitor.on_event(KernelEndEvent(kernel_name="plain"))
-        assert monitor.finish()[0].kernel_identity == "plain"
+        assert monitor.finish()[0].to_graph().kernel_identity == "plain"
 
     def test_identity_consumed_once(self):
         monitor = WarpTraceMonitor()
@@ -102,7 +102,7 @@ class TestGraphProduction:
         monitor.on_event(KernelEndEvent(kernel_name="k"))
         monitor.on_event(begin())
         monitor.on_event(KernelEndEvent(kernel_name="k"))
-        identities = [g.kernel_identity for g in monitor.finish()]
+        identities = [t.kernel_identity for t in monitor.finish()]
         assert identities == ["k@site1", "k"]
 
     def test_warps_identified_by_block_and_warp_id(self):
@@ -114,7 +114,7 @@ class TestGraphProduction:
         monitor.on_event(bb("b", warp_id=0, block_id=1))
         monitor.on_event(bb("c", warp_id=0, block_id=0, visit=0))
         monitor.on_event(KernelEndEvent(kernel_name="k"))
-        graph = monitor.finish()[0]
+        graph = monitor.finish()[0].to_graph()
         # block 0's warp went a -> c; block 1's warp went just b
         assert ("a", "c") in graph.edges
         assert ("b", "c") not in graph.edges
@@ -127,7 +127,7 @@ class TestGraphProduction:
         monitor.on_event(bb("a"))
         monitor.on_event(mem("a", [1000, 1008]))
         monitor.on_event(KernelEndEvent(kernel_name="k"))
-        graph = monitor.finish()[0]
+        graph = monitor.finish()[0].to_graph()
         record = graph.nodes["a"].visits[0][0]
         assert record.counts == {("buf", 0): 1, ("buf", 8): 1}
 
