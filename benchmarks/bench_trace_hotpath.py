@@ -21,8 +21,11 @@ Two kinds of rows:
   (:func:`calibration_seconds`), so a committed value carries across
   machines roughly as a ratio would: the production path at 8+8 runs
   (``e2e``), the cohort engine run by run on the buffered channel
-  (``cohort e2e``, the per-run fallback), and replica batching with
-  equal-input dedup at 64+64 runs (``replica e2e``).
+  (``cohort e2e``, the per-run fallback), replica batching with
+  equal-input dedup at 64+64 runs (``replica e2e``), and adaptive early
+  stopping at the paper's 100-replica protocol (``adaptive e2e``: the
+  interim looks plus the recorded prefix, whose ratio to the full budget
+  is also a ratio row).
 
 and re-checks bit-identity of the traces while it is at it.
 
@@ -42,7 +45,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -79,6 +82,8 @@ ABSOLUTE_ROWS = {
     "AES detect (cohort e2e)": dict(runs=DETECT_RUNS, per_run=True),
     "AES detect (replica e2e)": dict(runs=REPLICA_DETECT_RUNS,
                                      replica_dedup=True),
+    "AES detect (adaptive e2e)": dict(runs=ADAPTIVE_DETECT_RUNS,
+                                      adaptive=True),
 }
 
 
@@ -142,18 +147,24 @@ def detect_seconds(runs: int, replica_dedup: bool = False,
     return best
 
 
-def absolute_row(name: str, reps: int) -> Tuple[float, float]:
-    """One absolute row: ``(detect seconds, calibration seconds)`` of the
-    best of *reps* detects, each timed right after its own calibration
-    loop so that a host whose speed drifts during the run is measured
-    at the same speed on both sides of the quotient."""
+def calibrated(measure: Callable[[], float], reps: int
+               ) -> Tuple[float, float]:
+    """``(seconds, calibration seconds)`` of the best of *reps* calls of
+    *measure*, each timed right after its own calibration loop so that a
+    host whose speed drifts during the run is measured at the same speed
+    on both sides of the quotient."""
     best = None
     for _ in range(reps):
         calibration = calibration_seconds()
-        seconds = detect_seconds(**ABSOLUTE_ROWS[name])
+        seconds = measure()
         if best is None or seconds / calibration < best[0] / best[1]:
             best = (seconds, calibration)
     return best
+
+
+def absolute_row(name: str, reps: int) -> Tuple[float, float]:
+    """One absolute row of :data:`ABSOLUTE_ROWS` (see :func:`calibrated`)."""
+    return calibrated(lambda: detect_seconds(**ABSOLUTE_ROWS[name]), reps)
 
 
 def profile(records: int, reps: int, detect_runs: int):

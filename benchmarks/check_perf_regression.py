@@ -1,7 +1,7 @@
 """Perf-regression gate for the trace hot path and the detection service.
 
 Re-measures the end-to-end ``Owl.detect`` rows of
-``bench_trace_hotpath.py`` and the multi-tenant amortisation row of
+``bench_trace_hotpath.py`` and the multi-tenant service row of
 ``bench_service_throughput.py`` at their full-mode parameters and
 compares them against the committed artefacts
 (``benchmarks/results/trace_hotpath.txt`` and
@@ -13,6 +13,11 @@ compares them against the committed artefacts
   same process, see ``bench_trace_hotpath.calibration_seconds``) fail
   above ``committed / (1 - TOLERANCE)`` — the same slack a ratio row
   allows its fast path.
+
+A row whose baseline is the very path an optimisation speeds up (the
+full-budget detect under adaptive stopping, N serial detects under the
+multi-tenant service) is gated in absolute form: as a ratio it would
+read a faster detector as a slower fast path.
 
 Together they catch changes that quietly re-serialise the replica path,
 fatten the per-run cost, or bloat the service scheduler's per-unit
@@ -36,10 +41,9 @@ import sys
 from pathlib import Path
 from typing import Dict
 
-from bench_service_throughput import service_speedup
+from bench_service_throughput import service_absolute_row
 from bench_trace_hotpath import (
-    ABSOLUTE_ROWS, ADAPTIVE_DETECT_RUNS, DETECT_RUNS, absolute_row,
-    detect_seconds)
+    ABSOLUTE_ROWS, DETECT_RUNS, absolute_row, detect_seconds)
 
 RESULTS = Path(__file__).parent / "results"
 HOTPATH_ARTIFACT = RESULTS / "trace_hotpath.txt"
@@ -57,13 +61,19 @@ GATED_ROWS = {
         detect_seconds(DETECT_RUNS, analyzer="ks", reps=reps)
         + detect_seconds(DETECT_RUNS, analyzer="mi", reps=reps),
         detect_seconds(DETECT_RUNS, analyzer="both", reps=reps))),
-    # catches the adaptive scheduler losing its early stop (or its
-    # interim looks growing expensive enough to eat the saved replicas)
-    "AES detect (adaptive e2e)": (HOTPATH_ARTIFACT, lambda reps: (
-        detect_seconds(ADAPTIVE_DETECT_RUNS, reps=reps),
-        detect_seconds(ADAPTIVE_DETECT_RUNS, adaptive=True, reps=reps))),
-    "service multi-tenant (e2e)": (SERVICE_ARTIFACT, lambda reps: (
-        service_speedup(workers=0, reps=reps))),
+}
+
+#: gated absolute row → (committed artefact, re-measurement returning
+#: (seconds, calibration seconds)).  ``AES detect (adaptive e2e)``
+#: catches the adaptive scheduler losing its early stop (or its interim
+#: looks growing expensive enough to eat the saved replicas);
+#: ``service multi-tenant (e2e)`` catches the scheduler's per-unit
+#: overhead bloating or tenants no longer coalescing.
+ABSOLUTE_GATED_ROWS = {
+    **{name: (HOTPATH_ARTIFACT,
+              lambda reps, name=name: absolute_row(name, reps))
+       for name in ABSOLUTE_ROWS},
+    "service multi-tenant (e2e)": (SERVICE_ARTIFACT, service_absolute_row),
 }
 
 _ROW = re.compile(r"^(?P<name>.+?)\s{2,}[\d.]+\s+[\d.]+\s+"
@@ -88,7 +98,7 @@ def committed_calibrated(text: str) -> Dict[str, float]:
     values = {}
     for line in text.splitlines():
         match = _ABSOLUTE_ROW.match(line)
-        if match and match.group("name").strip() in ABSOLUTE_ROWS:
+        if match and match.group("name").strip() in ABSOLUTE_GATED_ROWS:
             values[match.group("name").strip()] = float(
                 match.group("calibrated"))
     return values
@@ -101,16 +111,18 @@ def main(argv=None) -> int:
                              "(default: 2)")
     args = parser.parse_args(argv)
 
-    committed = {}
-    for artifact in {artifact for artifact, _measure in GATED_ROWS.values()}:
+    committed, calibrated = {}, {}
+    for artifact in {artifact for artifact, _measure
+                     in [*GATED_ROWS.values(),
+                         *ABSOLUTE_GATED_ROWS.values()]}:
         if not artifact.exists():
             print(f"perf-regression: no committed artefact at {artifact}; "
                   "run the full bench first", file=sys.stderr)
             return 2
         committed.update(committed_speedups(artifact.read_text()))
-    calibrated = committed_calibrated(HOTPATH_ARTIFACT.read_text())
+        calibrated.update(committed_calibrated(artifact.read_text()))
     missing = sorted((set(GATED_ROWS) - set(committed))
-                     | (set(ABSOLUTE_ROWS) - set(calibrated)))
+                     | (set(ABSOLUTE_GATED_ROWS) - set(calibrated)))
     if missing:
         print(f"perf-regression: artefacts lack gated rows {missing}; "
               "regenerate them with the full benches", file=sys.stderr)
@@ -136,8 +148,8 @@ def main(argv=None) -> int:
               f"measured {speedup:.2f}x (floor {floor:.2f}x) [{verdict}]")
         if speedup < floor:
             failures.append(name)
-    for name in ABSOLUTE_ROWS:
-        seconds, calibration = absolute_row(name, args.reps)
+    for name, (_artifact, measure) in ABSOLUTE_GATED_ROWS.items():
+        seconds, calibration = measure(args.reps)
         measured = seconds / calibration
         ceiling = calibrated[name] / (1 - TOLERANCE)
         verdict = "ok" if measured <= ceiling else "REGRESSED"

@@ -18,7 +18,6 @@ from repro.adcfg.graph import (
     MemoryRecord,
     Node,
 )
-from repro.adcfg.merge import merge_adcfg, merge_adcfg_into
 from repro.adcfg.serialize import (
     adcfg_size_bytes,
     deserialize_adcfg,
@@ -37,7 +36,5 @@ __all__ = [
     "START_LABEL",
     "adcfg_size_bytes",
     "deserialize_adcfg",
-    "merge_adcfg",
-    "merge_adcfg_into",
     "serialize_adcfg",
 ]

@@ -31,7 +31,6 @@ from repro.adcfg.table import (
     END_ID,
     LABELS,
     OFFSET_BITS,
-    PACK_LIMIT,
     START_ID,
     ADCFGTable,
     first_rows,
@@ -253,22 +252,8 @@ class ADCFGBuilder:
         # order
         chosen, record_of_row = first_rows([slot, label, visit, instr],
                                            -order)
-        low = int(addresses.min())
-        span = int(addresses.max()) - low + 1
-        if chosen.shape[0] * span <= PACK_LIMIT:
-            # (record, address) packed into one sort key, built without
-            # materialising a per-address record column
-            key = np.repeat(record_of_row * span - low, lanes)
-            key += addresses
-            key.sort()
-            starts = np.flatnonzero(np.concatenate(
-                ([True], key[1:] != key[:-1])))
-            counts = np.diff(starts, append=key.shape[0])
-            record, address = np.divmod(key[starts], span)
-            address += low
-        else:
-            (record, address), counts = group_sum(
-                [np.repeat(record_of_row, lanes), addresses])
+        (record, address), counts = group_sum(
+            [record_of_row, addresses], repeats=lanes)
         # records sort slot-first, so each builder owns one record range
         # and one range of pairs; each normalises its own addresses
         rec_at = slot[chosen].searchsorted(np.arange(len(tables) + 1))

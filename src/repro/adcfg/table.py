@@ -113,10 +113,12 @@ _EMPTY.flags.writeable = False
 # grouping primitives
 # ----------------------------------------------------------------------
 
-def _packed(columns: Sequence[np.ndarray]
+def _packed(columns: Sequence[np.ndarray], repeats: Optional[np.ndarray]
             ) -> Optional[Tuple[np.ndarray, List[int], List[int]]]:
-    """Mixed-radix pack of int columns into one int64, or None when the
-    product of the columns' value spans would overflow."""
+    """Mixed-radix pack of int columns into one int64 (first column most
+    significant), or None when the product of the columns' value spans
+    would overflow.  With *repeats* the first column is run-length
+    encoded (see :func:`group_sum`) and is expanded while packing."""
     lows, spans = [], []
     total = 1
     for column in columns:
@@ -127,11 +129,24 @@ def _packed(columns: Sequence[np.ndarray]
         total *= span
     if total > PACK_LIMIT:
         return None
-    key = columns[0].astype(np.int64) - lows[0]
-    for column, low, span in zip(columns[1:], lows[1:], spans[1:]):
-        key *= span
-        key += column
-        key -= low
+    strides = [1] * len(columns)
+    for j in range(len(columns) - 2, -1, -1):
+        strides[j] = strides[j + 1] * spans[j + 1]
+    head = np.subtract(columns[0], lows[0], dtype=np.int64)
+    head *= strides[0]
+    # the last column's low is subtracted from the (shorter) head when
+    # that cannot overflow
+    last_low = lows[-1] if len(columns) > 1 else 0
+    early = abs(last_low) <= PACK_LIMIT
+    if early:
+        head -= last_low
+    key = head if repeats is None else np.repeat(head, repeats)
+    for column, low, stride in zip(columns[1:-1], lows[1:-1], strides[1:-1]):
+        key += (column - low) * stride
+    if len(columns) > 1:
+        key += columns[-1]
+        if not early:
+            key -= last_low
     return key, lows, spans
 
 
@@ -143,20 +158,25 @@ def _run_starts(sorted_values: np.ndarray) -> np.ndarray:
 
 
 def group_sum(columns: Sequence[np.ndarray],
-              weights: Optional[np.ndarray] = None
+              weights: Optional[np.ndarray] = None,
+              repeats: Optional[np.ndarray] = None
               ) -> Tuple[List[np.ndarray], np.ndarray]:
     """Distinct rows of int *columns* and the summed *weights* of each.
 
     Rows come back sorted lexicographically, first column most
-    significant.  *weights* defaults to one per row (a row count).  The
-    columns are packed into one int64 sort key when their value spans
-    allow it; otherwise a column ``lexsort`` does the same job.
+    significant.  *weights* defaults to one per row (a row count).  With
+    *repeats*, the first column is run-length encoded: its row ``i``
+    stands for ``repeats[i]`` consecutive rows of the other columns (the
+    fold's one record per instruction row over that row's addresses),
+    which saves materialising it.  The columns are packed into one int64
+    sort key when their value spans allow it; otherwise a column
+    ``lexsort`` does the same job.
     """
-    n = columns[0].shape[0]
+    n = columns[-1].shape[0]
     if n == 0:
         return ([np.asarray(column, dtype=np.int64)[:0] for column in columns],
                 np.zeros(0, dtype=np.int64))
-    packed = _packed(columns)
+    packed = _packed(columns, repeats)
     if packed is not None:
         key, lows, spans = packed
         if weights is None:
@@ -175,6 +195,8 @@ def group_sum(columns: Sequence[np.ndarray],
             unique_key = unique_key // span
         unique.reverse()
         return unique, sums.astype(np.int64, copy=False)
+    if repeats is not None:
+        columns = [np.repeat(columns[0], repeats), *columns[1:]]
     order = np.lexsort(tuple(reversed(columns)))
     ordered = [np.asarray(column)[order] for column in columns]
     change = np.zeros(n, dtype=bool)

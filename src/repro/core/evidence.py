@@ -286,6 +286,14 @@ class Evidence:
             slot.compact()
         return self
 
+    def materialize(self) -> "Evidence":
+        """Build every slot's object graph now (see
+        :attr:`EvidenceSlot.adcfg`), so the analysis that reads them is
+        timed apart from the evidence fold; returns ``self``."""
+        for slot in self.slots:
+            slot.adcfg
+        return self
+
     def slot_by_identity(self, identity: str) -> Optional[EvidenceSlot]:
         """First slot with the given identity (None when absent)."""
         for slot in self.slots:

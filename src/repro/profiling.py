@@ -14,9 +14,10 @@ it — so no second is booked twice.  Phases are plain string keys:
 * ``adcfg_fold``     — the monitor's intake and the builder's table fold
   (from per-warp events or from a cohort's columns);
 * the evidence and analysis phases (``evidence_fold``: appending each
-  run's tables and reducing them per slot; ``analysis``) come from the
-  pipeline's :class:`PhaseStats`, the ``analysis_*`` sub-phases from flat
-  :meth:`PhaseProfiler.add` calls.
+  run's tables, reducing them per slot and building the slots' object
+  graphs before the tests read them; ``analysis``: the tests alone) come
+  from the pipeline's :class:`PhaseStats`, the ``analysis_*`` sub-phases
+  from flat :meth:`PhaseProfiler.add` calls.
 
 This module must stay dependency-free (stdlib only): it is imported by
 :mod:`repro.gpusim.device`, which sits below everything else in the

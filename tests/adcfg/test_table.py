@@ -21,6 +21,7 @@ from repro.adcfg.serialize import serialize_adcfg
 from repro.adcfg.table import (
     LABELS,
     ADCFGTable,
+    MergeError,
     first_rows,
     group_sum,
     reduce_tables,
@@ -67,6 +68,28 @@ class TestGrouping:
             assert got == expected
             keys = list(zip(*(column.tolist() for column in unique)))
             assert keys == sorted(keys)
+
+    @pytest.mark.parametrize("factor", [1, 1 << 40])
+    def test_repeats_expand_the_first_column(self, factor):
+        # factor 1 packs; 1 << 40 overflows the packing and lexsorts
+        rng = np.random.default_rng(5)
+        head = rng.integers(0, 6, 40) * factor
+        repeats = rng.integers(0, 4, 40)
+        tail = rng.integers(-5, 5, int(repeats.sum())) * factor
+        expected = Counter(zip(np.repeat(head, repeats).tolist(),
+                               tail.tolist()))
+        (first, second), counts = group_sum([head, tail], repeats=repeats)
+        keys = list(zip(first.tolist(), second.tolist()))
+        assert keys == sorted(expected)
+        assert dict(zip(keys, counts.tolist())) == expected
+
+    def test_packing_huge_values_with_small_spans(self):
+        # values near the int64 limit pack by their spans, not magnitudes
+        big = (1 << 62) + np.array([3, 1, 3, 2, 3])
+        (first, second), counts = group_sum([big, -big])
+        assert (first - (1 << 62)).tolist() == [1, 2, 3]
+        assert (second + (1 << 62)).tolist() == [-1, -2, -3]
+        assert counts.tolist() == [1, 1, 3]
 
     def test_counts_without_weights(self):
         (values,), counts = group_sum([np.array([5, 1, 5, 5, 2])])
@@ -132,8 +155,6 @@ class TestTable:
         assert record.counts == {("buf", 8): 6, ("lut", 0): 3}
 
     def test_reduce_rejects_mixed_identities(self):
-        from repro.adcfg.merge import MergeError
-
         other = sample_graph()
         other.kernel_identity = "k@2"
         with pytest.raises(MergeError):
