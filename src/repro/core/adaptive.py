@@ -180,6 +180,20 @@ def round_schedule(fixed_runs: int, random_runs: int,
         random=tuple(_side_boundaries(fractions, random_runs)))
 
 
+def look_schedule(config, one_look: bool = False) -> RoundSchedule:
+    """The phase-3 look schedule of one campaign configuration.
+
+    ``Owl.detect`` and the service scheduler both cut phase 3 here.  A
+    classic run — and, with *one_look*, an adaptive run whose completed
+    evidence is already stored — is the one-look schedule: both sides go
+    straight to their budgets and the single look is final.
+    """
+    rounds = config.adaptive_rounds
+    if one_look or not config.adaptive:
+        rounds = (max(config.fixed_runs, config.random_runs),)
+    return round_schedule(config.fixed_runs, config.random_runs, rounds)
+
+
 def _side_boundaries(fractions: Sequence[float], side_budget: int
                      ) -> List[int]:
     bounds = [min(side_budget, max(1, math.ceil(f * side_budget)))

@@ -12,8 +12,10 @@ the same campaign key builders ``Owl.detect`` uses:
 * ``evidence`` — record runs ``[start, stop)`` of one side into a chunk
   blob (inputs re-derived from the seeded generator, so every worker
   draws the same sequence);
-* ``fold``     — merge one side's chunks in order through
-  ``Evidence.merge`` and persist the canonical evidence;
+* ``decide``   — an interim adaptive look: checkpoint every side's
+  prefix and decide stop-vs-continue;
+* ``fold``     — the final look of one side: merge its chunks in order
+  through ``Evidence.merge`` and persist the canonical evidence;
 * ``report``   — run ``Owl.detect`` against the now-warm store.  Bit
   identity with a direct in-process detection is inherited from the
   store's warm ≡ cold contract rather than re-proven here.
@@ -157,23 +159,34 @@ def _run_evidence(unit: WorkUnit, store: TraceStore) -> Dict:
             "trace_seconds": chunk_stats.trace_seconds_total}
 
 
-def _run_decide(unit: WorkUnit, store: TraceStore) -> Dict:
-    """One adaptive look: merge, checkpoint, analyse, stop-or-continue.
+def _merge_chunks(store: TraceStore, keys: List[str],
+                  keep_per_run: bool) -> Evidence:
+    """Merge one side's chunk blobs, in ordinal order."""
+    merged: Optional[Evidence] = None
+    for key in keys:
+        chunk_evidence = store.get_evidence(key)
+        merged = (chunk_evidence if merged is None
+                  else merged.merge(chunk_evidence))
+    return merged if merged is not None else Evidence(
+        keep_per_run=keep_per_run)
 
-    Merges every side's chunks (rounds 0..r, in ordinal order) to the
-    round boundary, persists the result through the campaign checkpoint
-    path — the same canonical form the in-process adaptive loop leaves
-    behind — then replays :func:`repro.core.adaptive.evaluate_round`.
-    The decision is a pure function of the evidence prefix, so a
-    re-queued decide unit (after a worker death) recomputes it
-    bit-identically; on the final round the sides complete through
-    ``save_evidence`` and the chunks are collected, replacing the
-    classic fold stage.
+
+def _run_decide(unit: WorkUnit, store: TraceStore) -> Dict:
+    """One interim adaptive look: merge, checkpoint, analyse, decide.
+
+    Merges every side's chunks (looks 0..r, in ordinal order) to the
+    look boundary, persists the result as the side's checkpoint — the
+    same canonical form the in-process round loop leaves behind — then
+    replays :func:`repro.core.adaptive.evaluate_round`.  The decision is
+    a pure function of the evidence prefix, so a re-queued decide unit
+    (after a worker death) recomputes it bit-identically.  Only an
+    interim stop collects the chunks: the final look is folded per side
+    by fold units, so a final-round decide unit (as an older scheduler
+    enqueued) leaves a full-budget checkpoint and every chunk in place.
     """
     owl, campaign, inputs, _random = materialize(unit.spec, store)
     config = owl.config
-    schedule = sequential.round_schedule(
-        config.fixed_runs, config.random_runs, config.adaptive_rounds)
+    schedule = sequential.look_schedule(config)
     round_index = int(unit.params["round"])
     final = round_index == schedule.num_rounds - 1
     rep_indices = [int(index) for index in unit.params["rep_indices"]]
@@ -182,52 +195,52 @@ def _run_decide(unit: WorkUnit, store: TraceStore) -> Dict:
                  for rep_index in rep_indices]
     side_plan.append(("random", -1, schedule.random[round_index],
                       config.random_runs, int(unit.params["random_chunks"])))
-    evidences = {}
-    all_chunk_keys = []
+    sides = []
     for side, rep_index, boundary, total_runs, num_chunks in side_plan:
         rep_fp = _rep_fp(campaign, inputs, side, rep_index)
-        evidence_key = campaign.evidence_key(side, rep_fp)
-        keys = [chunk_key(unit.campaign, side, rep_fp, chunk)
-                for chunk in range(num_chunks)]
-        all_chunk_keys.extend(keys)
-        if store.get(evidence_key) is not None:
-            # the final round already completed (crash between its
-            # save_evidence and this result landing): nothing to decide,
-            # the report unit degrades to the warm full-budget path
-            return {"stop": True, "final": True, "round": round_index,
-                    "cached_side": True}
-        merged: Optional[Evidence] = None
-        for key in keys:
-            chunk_evidence = store.get_evidence(key)
-            merged = (chunk_evidence if merged is None
-                      else merged.merge(chunk_evidence))
-        if merged is None:
-            merged = Evidence(keep_per_run=config.sampling == "per_run")
-        if final:
-            merged = campaign.save_evidence(evidence_key, merged, side)
-        else:
+        sides.append((side, rep_index, boundary, total_runs,
+                      campaign.evidence_key(side, rep_fp),
+                      [chunk_key(unit.campaign, side, rep_fp, chunk)
+                       for chunk in range(num_chunks)]))
+    if any(store.get(evidence_key) is not None
+           for *_, evidence_key, _keys in sides):
+        # a completed side is already stored (another campaign finished
+        # it): nothing to decide, the report unit's detection falls back
+        # to the one-look path over it
+        verdict = {"stop": True, "final": final, "round": round_index,
+                   "cached_side": True}
+    else:
+        evidences = {}
+        for side, rep_index, boundary, total_runs, evidence_key, keys \
+                in sides:
+            merged = _merge_chunks(store, keys,
+                                   config.sampling == "per_run")
             campaign.save_checkpoint(evidence_key, merged, boundary,
                                      total_runs, side)
-            merged = deserialize_evidence(serialize_evidence(merged))
-        evidences[(side, rep_index)] = merged
-    _reports, decision = sequential.evaluate_round(
-        owl.analyzers,
-        [evidences[("fixed", rep_index)] for rep_index in rep_indices],
-        evidences[("random", -1)], program_name=owl.name,
-        alpha=1.0 - config.confidence, rho=config.adaptive_alpha_spend,
-        schedule=schedule, round_index=round_index)
-    if decision.stop:
+            evidences[(side, rep_index)] = deserialize_evidence(
+                serialize_evidence(merged))
+        _reports, decision = sequential.evaluate_round(
+            owl.analyzers,
+            [evidences[("fixed", rep_index)] for rep_index in rep_indices],
+            evidences[("random", -1)], program_name=owl.name,
+            alpha=1.0 - config.confidence, rho=config.adaptive_alpha_spend,
+            schedule=schedule, round_index=round_index)
+        verdict = {"stop": decision.stop, "final": final,
+                   "round": round_index, "tested": decision.tested,
+                   "flagged": decision.flagged, "clean": decision.clean,
+                   "undecided": decision.undecided,
+                   "fixed_boundary": decision.fixed_boundary,
+                   "random_boundary": decision.random_boundary}
+    if verdict["stop"] and not final:
         with store.batch():
-            for key in all_chunk_keys:
-                store.delete(key)
-    return {"stop": decision.stop, "final": final, "round": round_index,
-            "tested": decision.tested, "flagged": decision.flagged,
-            "clean": decision.clean, "undecided": decision.undecided,
-            "fixed_boundary": decision.fixed_boundary,
-            "random_boundary": decision.random_boundary}
+            for *_, keys in sides:
+                for key in keys:
+                    store.delete(key)
+    return verdict
 
 
 def _run_fold(unit: WorkUnit, store: TraceStore) -> Dict:
+    """The final look of one side: merge its chunks, complete it."""
     owl, campaign, inputs, _random = materialize(unit.spec, store)
     side = str(unit.params["side"])
     rep_index = int(unit.params["rep_index"])
@@ -236,23 +249,16 @@ def _run_fold(unit: WorkUnit, store: TraceStore) -> Dict:
     evidence_key = campaign.evidence_key(side, rep_fp)
     keys = [chunk_key(unit.campaign, side, rep_fp, chunk)
             for chunk in range(num_chunks)]
-    if store.get(evidence_key) is not None:
-        with store.batch():
-            for key in keys:
-                store.delete(key)
-        return {"runs": 0, "cached_side": True}
-    merged: Optional[Evidence] = None
-    for key in keys:
-        chunk_evidence = store.get_evidence(key)
-        merged = (chunk_evidence if merged is None
-                  else merged.merge(chunk_evidence))
-    if merged is None:
-        merged = Evidence(keep_per_run=owl.config.sampling == "per_run")
-    campaign.save_evidence(evidence_key, merged, side)
+    payload = {"runs": 0, "cached_side": True}
+    if store.get(evidence_key) is None:
+        merged = _merge_chunks(store, keys,
+                               owl.config.sampling == "per_run")
+        campaign.save_evidence(evidence_key, merged, side)
+        payload = {"runs": merged.num_runs}
     with store.batch():
         for key in keys:
             store.delete(key)
-    return {"runs": merged.num_runs}
+    return payload
 
 
 def _run_report(unit: WorkUnit, store: TraceStore) -> Dict:

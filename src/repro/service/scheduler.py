@@ -1,20 +1,21 @@
 """The campaign scheduler: submissions → work units → fleet → reports.
 
 One :class:`CampaignScheduler` owns a :class:`~repro.service.queue.JobQueue`
-and drives every submitted campaign through the stage machine
+and drives every submitted campaign through one stage machine over the
+campaign's phase-3 look schedule
+(:func:`repro.core.adaptive.look_schedule`, the one ``Owl.detect`` runs)
 
-    tracing → planning → [evidence → folding] → reporting → complete
+    tracing → planning → [evidence → deciding]* → evidence → folding
+            → reporting → complete
 
-— or, for ``OwlConfig(adaptive=True)`` campaigns, through the
-group-sequential loop
-
-    tracing → planning → [evidence → deciding]* → reporting → complete
-
-where each ``evidence`` stage records one round's replica slice
-(``unit_runs`` partitioning always respects the round boundaries) and
-the ``deciding`` stage's unit folds the prefix, checkpoints it, and
-either stops the campaign or schedules the next round — enqueuing the
-next stage's durable units the moment the previous stage's results are
+where each ``evidence`` stage records one look's replica slice
+(``unit_runs`` partitioning always respects the look boundaries), the
+``deciding`` stage's unit ends an interim look — it merges the prefix,
+checkpoints it, and either stops the campaign (straight to
+``reporting``) or schedules the next look — and the final look ends in
+per-side ``folding`` units that complete the evidence.  A classic
+campaign is the one-look schedule and never decides.  The next stage's
+durable units are enqueued the moment the previous stage's results are
 all on disk.  The actual work happens wherever a unit is
 claimed — fleet worker processes, or the scheduler process itself when
 ``workers == 0`` (same units, same results).
@@ -65,6 +66,7 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional
 
+from repro.core.adaptive import look_schedule
 from repro.core.pipeline import OwlConfig
 from repro.errors import CampaignError, QuotaError
 from repro.gpusim.device import DeviceConfig
@@ -75,8 +77,8 @@ from repro.service.execute import execute_unit
 from repro.service.fleet import WorkerFleet
 from repro.service.queue import JobQueue
 from repro.service.units import (
-    WorkUnit, decide_unit, evidence_units, fold_unit, plan_unit,
-    report_unit, round_chunk_offsets, round_evidence_units, trace_units)
+    WorkUnit, decide_unit, fold_unit, plan_unit, report_unit,
+    round_chunk_offsets, round_evidence_units, trace_units)
 from repro.store.fingerprint import (
     analysis_fingerprint, fingerprint_inputs, fingerprint_value)
 from repro.store.store import TraceStore
@@ -95,10 +97,6 @@ _LOCAL = "scheduler"
 
 #: Tenant identity of unauthenticated submissions.
 DEFAULT_TENANT = "anonymous"
-
-
-def _num_chunks(total_runs: int, unit_runs: int) -> int:
-    return (total_runs + unit_runs - 1) // unit_runs
 
 
 def campaign_identity(workload: str, config: OwlConfig) -> str:
@@ -139,9 +137,9 @@ class CampaignState:
     coalesced_into: Optional[str] = None
     degradations: List[DegradationEvent] = field(default_factory=list)
     submitted_at: float = 0.0
-    #: current adaptive round (meaningful only while an adaptive
-    #: campaign loops through evidence → deciding)
-    adaptive_round: int = 0
+    #: the look of the phase-3 schedule the campaign is recording or
+    #: deciding (a classic campaign has exactly one)
+    round_index: int = 0
 
     @property
     def done(self) -> bool:
@@ -446,64 +444,46 @@ class CampaignScheduler:
                 self._enqueue(state, [report_unit(state.cid, spec,
                                                   plan["num_classes"])])
                 return
-            if config.adaptive:
-                state.adaptive_round = 0
-                state.stage = STAGE_EVIDENCE
-                self._enqueue(state,
-                              self._adaptive_round_units(state, config, 0))
-                return
-            units = []
-            for rep_index in plan["rep_indices"]:
-                units.extend(evidence_units(
-                    state.cid, spec, "fixed", rep_index, config.fixed_runs,
-                    self.config.unit_runs))
-            units.extend(evidence_units(
-                state.cid, spec, "random", -1, config.random_runs,
-                self.config.unit_runs))
+            state.round_index = 0
             state.stage = STAGE_EVIDENCE
-            self._enqueue(state, units)
+            self._enqueue(state, self._round_units(state, config))
             return
         if state.stage == STAGE_EVIDENCE:
-            plan = state.plan or {}
-            if config.adaptive:
-                schedule = self._adaptive_schedule(config)
-                round_index = state.adaptive_round
+            rep_indices = (state.plan or {}).get("rep_indices", [])
+            schedule = look_schedule(config)
+            round_index = state.round_index
+            fixed_chunks = round_chunk_offsets(
+                schedule.fixed, self.config.unit_runs)[round_index + 1]
+            random_chunks = round_chunk_offsets(
+                schedule.random, self.config.unit_runs)[round_index + 1]
+            if round_index < schedule.num_rounds - 1:
                 state.stage = STAGE_DECIDING
                 self._enqueue(state, [decide_unit(
-                    state.cid, spec, round_index,
-                    plan.get("rep_indices", []),
-                    round_chunk_offsets(schedule.fixed,
-                                        self.config.unit_runs)[
-                                            round_index + 1],
-                    round_chunk_offsets(schedule.random,
-                                        self.config.unit_runs)[
-                                            round_index + 1])])
+                    state.cid, spec, round_index, rep_indices,
+                    fixed_chunks, random_chunks)])
                 return
-            units = []
-            for rep_index in plan.get("rep_indices", []):
-                chunks = _num_chunks(config.fixed_runs, self.config.unit_runs)
-                units.append(fold_unit(state.cid, spec, "fixed", rep_index,
-                                       chunks))
-            chunks = _num_chunks(config.random_runs, self.config.unit_runs)
-            units.append(fold_unit(state.cid, spec, "random", -1, chunks))
+            units = [fold_unit(state.cid, spec, "fixed", rep_index,
+                               fixed_chunks)
+                     for rep_index in rep_indices]
+            units.append(fold_unit(state.cid, spec, "random", -1,
+                                   random_chunks))
             state.stage = STAGE_FOLDING
             self._enqueue(state, units)
             return
         if state.stage == STAGE_DECIDING:
             verdict = payloads[
-                f"{state.cid}.decide.{state.adaptive_round:02d}"]
+                f"{state.cid}.decide.{state.round_index:02d}"]
             self.queue.journal(
                 "decided", campaign=state.cid,
-                round=state.adaptive_round, stop=verdict.get("stop"),
+                round=state.round_index, stop=verdict.get("stop"),
                 undecided=verdict.get("undecided"))
             if verdict.get("stop"):
                 state.stage = STAGE_REPORTING
                 self._enqueue(state, [report_unit(state.cid, spec, 0)])
                 return
-            state.adaptive_round += 1
+            state.round_index += 1
             state.stage = STAGE_EVIDENCE
-            self._enqueue(state, self._adaptive_round_units(
-                state, config, state.adaptive_round))
+            self._enqueue(state, self._round_units(state, config))
             return
         if state.stage == STAGE_FOLDING:
             state.stage = STAGE_REPORTING
@@ -521,40 +501,21 @@ class CampaignScheduler:
             f"campaign {state.cid} advanced from unexpected stage "
             f"{state.stage!r}")
 
-    def _adaptive_schedule(self, config: OwlConfig):
-        from repro.core.adaptive import round_schedule
-        return round_schedule(config.fixed_runs, config.random_runs,
-                              config.adaptive_rounds)
-
-    def _adaptive_round_units(self, state: CampaignState, config: OwlConfig,
-                              round_index: int) -> List:
-        """Evidence units for one adaptive round's replica slice.
-
-        Chunk ordinals continue across rounds (``round_chunk_offsets``),
-        so the decide unit can merge every chunk recorded so far in one
-        deterministic order; a round whose slice is empty on one side
-        (boundaries can coincide for tiny budgets) simply contributes no
-        units for that side.
-        """
-        plan = state.plan or {}
+    def _round_units(self, state: CampaignState,
+                     config: OwlConfig) -> List[WorkUnit]:
+        """Evidence units for every side's slice of the current look (a
+        side whose slice is empty — boundaries can coincide for tiny
+        budgets — contributes none)."""
         spec = state.spec()
-        schedule = self._adaptive_schedule(config)
-        fixed_offsets = round_chunk_offsets(schedule.fixed,
-                                            self.config.unit_runs)
-        random_offsets = round_chunk_offsets(schedule.random,
-                                             self.config.unit_runs)
-        fixed_start = schedule.fixed[round_index - 1] if round_index else 0
-        random_start = schedule.random[round_index - 1] if round_index else 0
+        schedule = look_schedule(config)
         units = []
-        for rep_index in plan.get("rep_indices", []):
+        for rep_index in (state.plan or {}).get("rep_indices", []):
             units.extend(round_evidence_units(
-                state.cid, spec, "fixed", rep_index, fixed_start,
-                schedule.fixed[round_index], self.config.unit_runs,
-                fixed_offsets[round_index]))
+                state.cid, spec, "fixed", rep_index, schedule.fixed,
+                state.round_index, self.config.unit_runs))
         units.extend(round_evidence_units(
-            state.cid, spec, "random", -1, random_start,
-            schedule.random[round_index], self.config.unit_runs,
-            random_offsets[round_index]))
+            state.cid, spec, "random", -1, schedule.random,
+            state.round_index, self.config.unit_runs))
         return units
 
     def _mirror_coalesced(self) -> None:

@@ -2,16 +2,18 @@
 
 One submitted campaign decomposes into a DAG of small, restartable JSON
 specs — per-input trace jobs, one filter/plan job, per-chunk evidence
-jobs, per-side fold jobs, one report job — that any worker process can
-execute given only the shared :class:`~repro.store.store.TraceStore`.
+jobs for each look of the phase-3 schedule, one decide job per interim
+look, per-side fold jobs at the final look, one report job — that any
+worker process can execute given only the shared
+:class:`~repro.store.store.TraceStore`.
 Units reference programs *by name* through
 :mod:`repro.apps.registry`, so a spec is re-materialisable anywhere; all
 heavy payloads (traces, evidence, reports) travel through the store, and
 a unit's queue result carries only accounting.
 
 Determinism is inherited, not re-implemented: an evidence unit re-derives
-its run inputs from ``np.random.default_rng(config.seed)`` exactly as
-``Owl.collect_evidence`` does and records the slice ``[start, stop)``, so
+its run inputs from ``np.random.default_rng(config.seed)`` in the same
+draw order as ``Owl.detect`` and records the slice ``[start, stop)``, so
 any ``unit_runs`` partition folds — through the associative
 :meth:`~repro.core.evidence.Evidence.merge`, in chunk order — to the
 bytes one in-process ``Owl.detect`` would have produced.
@@ -31,8 +33,8 @@ KIND_FOLD = "fold"
 KIND_REPORT = "report"
 
 #: Stage machine: which kinds a campaign schedules, in which order.
-#: (``decide`` only appears in adaptive campaigns, ``fold`` only in
-#: classic ones — the scheduler picks the path per config.)
+#: (``decide`` ends each interim look of an adaptive campaign; every
+#: campaign that reaches its final look ends it with ``fold`` units.)
 STAGES = (KIND_TRACE, KIND_PLAN, KIND_EVIDENCE, KIND_DECIDE, KIND_FOLD,
           KIND_REPORT)
 
@@ -87,36 +89,14 @@ def plan_unit(cid: str, spec: Dict, num_inputs: int) -> WorkUnit:
                     spec=spec, params={"num_inputs": num_inputs})
 
 
-def evidence_units(cid: str, spec: Dict, side: str, rep_index: int,
-                   total_runs: int, unit_runs: int) -> List[WorkUnit]:
-    """Contiguous run-slice units for one evidence side.
-
-    ``rep_index`` indexes the campaign's input list for the fixed side
-    and is ``-1`` for the shared random side.  Chunks are numbered in run
-    order; the fold unit merges them by that ordinal.
-    """
-    units = []
-    chunk = 0
-    for start in range(0, total_runs, unit_runs):
-        stop = min(start + unit_runs, total_runs)
-        units.append(WorkUnit(
-            uid=f"{cid}.evidence.{side}.{rep_index}.{chunk:04d}",
-            kind=KIND_EVIDENCE, campaign=cid, spec=spec,
-            params={"side": side, "rep_index": rep_index, "chunk": chunk,
-                    "start": start, "stop": stop}))
-        chunk += 1
-    return units
-
-
 def round_chunk_offsets(boundaries, unit_runs: int) -> List[int]:
-    """Cumulative chunk ordinals at each adaptive round boundary.
+    """Cumulative chunk ordinals at each look boundary of one side.
 
-    ``offsets[r]`` is the first chunk ordinal of round ``r``'s slice and
-    ``offsets[r + 1]`` the total number of chunks once round ``r`` has
-    recorded — the adaptive analogue of ``_num_chunks`` for the classic
-    single-slice partition.  Round slices are partitioned by
-    ``unit_runs`` *within* each round, so the partition always respects
-    round boundaries: no unit ever spans an interim look.
+    ``offsets[r]`` is the first chunk ordinal of look ``r``'s slice and
+    ``offsets[r + 1]`` the total number of chunks once look ``r`` has
+    recorded.  Look slices are partitioned by ``unit_runs`` *within*
+    each look, so the partition always respects the boundaries: no unit
+    ever spans a look.
     """
     offsets = [0]
     previous = 0
@@ -128,18 +108,23 @@ def round_chunk_offsets(boundaries, unit_runs: int) -> List[int]:
 
 
 def round_evidence_units(cid: str, spec: Dict, side: str, rep_index: int,
-                         start: int, stop: int, unit_runs: int,
-                         first_chunk: int) -> List[WorkUnit]:
-    """Evidence units for one adaptive round's slice ``[start, stop)``.
+                         boundaries, round_index: int,
+                         unit_runs: int) -> List[WorkUnit]:
+    """Contiguous run-slice units for one side's look ``round_index``.
 
-    Chunk ordinals continue sequentially across rounds (via
-    *first_chunk* from :func:`round_chunk_offsets`), so the decide unit
-    merges every round recorded so far in one deterministic order.
+    *boundaries* are the side's cumulative look boundaries from the
+    campaign's look schedule (one boundary, the budget, for a classic
+    campaign).  ``rep_index`` indexes the campaign's input list for the
+    fixed side and is ``-1`` for the shared random side.  Chunk ordinals
+    continue across looks (:func:`round_chunk_offsets`), so a decide or
+    fold unit merges every look recorded so far in one deterministic
+    order.
     """
+    start = boundaries[round_index - 1] if round_index else 0
+    chunk = round_chunk_offsets(boundaries, unit_runs)[round_index]
     units = []
-    chunk = first_chunk
-    for chunk_start in range(start, stop, unit_runs):
-        chunk_stop = min(chunk_start + unit_runs, stop)
+    for chunk_start in range(start, boundaries[round_index], unit_runs):
+        chunk_stop = min(chunk_start + unit_runs, boundaries[round_index])
         units.append(WorkUnit(
             uid=f"{cid}.evidence.{side}.{rep_index}.{chunk:04d}",
             kind=KIND_EVIDENCE, campaign=cid, spec=spec,
@@ -152,7 +137,7 @@ def round_evidence_units(cid: str, spec: Dict, side: str, rep_index: int,
 def decide_unit(cid: str, spec: Dict, round_index: int,
                 rep_indices: List[int], fixed_chunks: int,
                 random_chunks: int) -> WorkUnit:
-    """One adaptive look: merge every side's chunks to the round
+    """One interim adaptive look: merge every side's chunks to the look
     boundary, checkpoint, analyse, and decide stop-vs-continue."""
     return WorkUnit(uid=f"{cid}.decide.{round_index:02d}",
                     kind=KIND_DECIDE, campaign=cid, spec=spec,
@@ -164,7 +149,8 @@ def decide_unit(cid: str, spec: Dict, round_index: int,
 
 def fold_unit(cid: str, spec: Dict, side: str, rep_index: int,
               num_chunks: int) -> WorkUnit:
-    """Merge one side's chunks (in order) into its canonical evidence."""
+    """The final look of one side: merge its chunks (in order) into its
+    canonical evidence."""
     return WorkUnit(uid=f"{cid}.fold.{side}.{rep_index}", kind=KIND_FOLD,
                     campaign=cid, spec=spec,
                     params={"side": side, "rep_index": rep_index,

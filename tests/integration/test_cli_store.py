@@ -168,7 +168,7 @@ class TestResumeSubcommand:
 
     def test_resume_finishes_interrupted_campaign(self, tmp_path, capsys,
                                                   monkeypatch):
-        from repro.core import pipeline
+        from repro.core.parallel import TraceRecordingPool
         store_dir = str(tmp_path / "store")
 
         # cold reference report from an uninterrupted run elsewhere
@@ -176,22 +176,18 @@ class TestResumeSubcommand:
         reference = capsys.readouterr().out
 
         calls = {"n": 0}
-        original = pipeline.Owl._collect_side_checkpointed
+        original = TraceRecordingPool.record_evidence
 
-        def crashing(self, campaign, side, rep_fp, values, keep_per_run,
-                     stats):
+        def crashing(self, values, keep_per_run=False):
             calls["n"] += 1
             if calls["n"] == 2:  # die while recording the random side
                 raise KeyboardInterrupt("simulated crash")
-            return original(self, campaign, side, rep_fp, values,
-                            keep_per_run, stats)
+            return original(self, values, keep_per_run=keep_per_run)
 
-        monkeypatch.setattr(pipeline.Owl, "_collect_side_checkpointed",
-                            crashing)
+        monkeypatch.setattr(TraceRecordingPool, "record_evidence", crashing)
         with pytest.raises(KeyboardInterrupt):
             main(["run", "dummy", "--store", store_dir, *RUN_ARGS])
-        monkeypatch.setattr(pipeline.Owl, "_collect_side_checkpointed",
-                            original)
+        monkeypatch.setattr(TraceRecordingPool, "record_evidence", original)
         capsys.readouterr()
 
         code = main(["resume", "--store", store_dir, "--json"])
